@@ -9,9 +9,7 @@ from .core import (
     ObjectNode,
     TaskTree,
     TreeViolation,
-    is_available,
     merge,
-    node_key,
     normalize_label,
     verify_task_tree,
 )
@@ -30,7 +28,6 @@ from .retrieval import (
     HeuristicKind,
     RetrievalResult,
     ids_expansion_formula,
-    oracle_enumerate,
     retrieve_greedy,
     retrieve_ids,
     select_candidate,
@@ -55,11 +52,8 @@ __all__ = [
     "TreeViolation",
     "export_dot",
     "ids_expansion_formula",
-    "is_available",
     "merge",
-    "node_key",
     "normalize_label",
-    "oracle_enumerate",
     "parse_kitchen",
     "parse_subgraph",
     "retrieve_greedy",

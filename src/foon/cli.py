@@ -35,10 +35,12 @@ class CliError(Exception):
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_USAGE, f"cannot read {path}: {exc}") from None
 
 
 def _write(path, text: str):
@@ -242,6 +244,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _depth_limit(text: str) -> int:
+    depth = int(text)
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {depth}")
+    return depth
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="foon",
@@ -259,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--goal", required=True, help="goal node, e.g. 'ice{solid}'")
     p.add_argument("-k", "--kitchen", required=True, help="kitchen file")
     p.add_argument("-a", "--algo", choices=("ids", "h1", "h2"), default="ids")
-    p.add_argument("--max-depth", type=int, default=None, help="IDS depth limit")
+    p.add_argument("--max-depth", type=_depth_limit, default=None, help="IDS depth limit")
     p.add_argument("-o", "--output", help="write the task tree here (default: stdout)")
     p.set_defaults(func=cmd_search)
 

@@ -69,11 +69,6 @@ class ObjectNode:
         return key
 
 
-def node_key(node: ObjectNode) -> str:
-    """Identity key of an object node; equal keys mean the same node."""
-    return node.key
-
-
 @dataclass(frozen=True)
 class MotionNode:
     """A manipulation motion label with a success rate in [0, 1]."""
@@ -250,11 +245,6 @@ class Kitchen:
     @classmethod
     def from_nodes(cls, nodes) -> "Kitchen":
         return cls(frozenset(node.key for node in nodes))
-
-
-def is_available(key: str, kitchen: Kitchen) -> bool:
-    """Exact-match availability: the full identity key must be in the kitchen."""
-    return key in kitchen
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,7 @@ def _parse_ingredients(field: str, source, line_no) -> list:
     inner = field[1:-1]
     if not inner.strip():
         raise ParseError(source, line_no, "empty ingredient set")
-    try:
-        return [normalize_label(part, "ingredient label") for part in inner.split(",")]
-    except ValueError as exc:
-        raise ParseError(source, line_no, str(exc)) from None
+    return [_normalized(part, "ingredient label", source, line_no) for part in inner.split(",")]
 
 
 def _normalized(raw: str, what: str, source, line_no) -> str:
@@ -55,55 +52,52 @@ def _normalized(raw: str, what: str, source, line_no) -> str:
         raise ParseError(source, line_no, str(exc)) from None
 
 
-class _ObjectReader:
-    """Shared O/S record handling for subgraph and kitchen parsers."""
+def _records(text: str, source: str):
+    """Yield (line number, tag, value) records, minus comments and blanks.
 
-    def __init__(self, source: str):
-        self.source = source
-        self.name = None
-        self.states: list = []
-        self.ingredients: set = set()
-
-    @property
-    def open(self) -> bool:
-        return self.name is not None
-
-    def start(self, fields, line_no):
-        if len(fields) != 2:
-            raise ParseError(self.source, line_no, "O line must be 'O<TAB>name'")
-        self.name = _normalized(fields[1], "object name", self.source, line_no)
-        self.states = []
-        self.ingredients = set()
-
-    def add_state(self, fields, line_no):
-        if self.name is None:
-            raise ParseError(self.source, line_no, "S line without a preceding O line")
-        if len(fields) not in (2, 3):
-            raise ParseError(
-                self.source, line_no, "S line must be 'S<TAB>state' or 'S<TAB>state<TAB>{ings}'"
-            )
-        if len(fields) == 3:
-            self.ingredients.update(_parse_ingredients(fields[2], self.source, line_no))
-        state = fields[1]
-        if state.strip():
-            self.states.append(_normalized(state, "state label", self.source, line_no))
-        elif len(fields) == 2:
-            raise ParseError(self.source, line_no, "empty state label")
-
-    def take(self) -> ObjectNode:
-        node = ObjectNode(self.name, frozenset(self.states), frozenset(self.ingredients))
-        self.name = None
-        self.states = []
-        self.ingredients = set()
-        return node
-
-
-def _records(text: str):
-    """Yield (line number, stripped record text) minus comments and blanks."""
+    An O line and the S lines after it fold into one ("O", ObjectNode)
+    record numbered by its last line. M lines yield ("M", fields) and unit
+    separators ("//", None). Labels are normalized on the line that holds
+    them, so every ParseError names its own line.
+    """
+    name = None
     for line_no, raw in enumerate(text.split("\n"), start=1):
         record = raw.split("#", 1)[0].strip()
-        if record:
-            yield line_no, record
+        if not record:
+            continue
+        fields = record.split("\t")
+        tag = fields[0]
+        if tag == "S":
+            if name is None:
+                raise ParseError(source, line_no, "S line without a preceding O line")
+            if len(fields) not in (2, 3):
+                raise ParseError(
+                    source, line_no, "S line must be 'S<TAB>state' or 'S<TAB>state<TAB>{ings}'"
+                )
+            if len(fields) == 3:
+                ingredients.update(_parse_ingredients(fields[2], source, line_no))
+            if fields[1].strip():
+                states.append(_normalized(fields[1], "state label", source, line_no))
+            elif len(fields) == 2:
+                raise ParseError(source, line_no, "empty state label")
+            last_line = line_no
+            continue
+        if name is not None:
+            yield last_line, "O", ObjectNode(name, frozenset(states), frozenset(ingredients))
+            name = None
+        if tag == "O":
+            if len(fields) != 2:
+                raise ParseError(source, line_no, "O line must be 'O<TAB>name'")
+            name = _normalized(fields[1], "object name", source, line_no)
+            states, ingredients, last_line = [], set(), line_no
+        elif record == "//":
+            yield line_no, "//", None
+        elif tag == "M":
+            yield line_no, "M", fields
+        else:
+            raise ParseError(source, line_no, f"unrecognized record {tag!r}")
+    if name is not None:
+        yield last_line, "O", ObjectNode(name, frozenset(states), frozenset(ingredients))
 
 
 def parse_subgraph(text: str, source: str = "<string>") -> list:
@@ -112,21 +106,14 @@ def parse_subgraph(text: str, source: str = "<string>") -> list:
     Duplicates are preserved; deduplication is FoonGraph's job.
     """
     units: list = []
-    reader = _ObjectReader(source)
     inputs: list = []
     outputs: list = []
     motion = None
     last_record_line = None
-
-    def close_object():
-        if reader.open:
-            (outputs if motion is not None else inputs).append(reader.take())
-
-    for line_no, record in _records(text):
-        if record == "//":
+    for line_no, tag, value in _records(text, source):
+        if tag == "//":
             if last_record_line is None:
                 raise ParseError(source, line_no, "empty functional unit")
-            close_object()
             if motion is None:
                 raise ParseError(source, line_no, "unit has no motion line")
             if not outputs:
@@ -137,38 +124,30 @@ def parse_subgraph(text: str, source: str = "<string>") -> list:
                 raise ParseError(source, line_no, str(exc)) from None
             inputs, outputs, motion, last_record_line = [], [], None, None
             continue
-        fields = record.split("\t")
-        tag = fields[0]
         if tag == "O":
-            close_object()
-            reader.start(fields, line_no)
-        elif tag == "S":
-            reader.add_state(fields, line_no)
-        elif tag == "M":
+            (outputs if motion is not None else inputs).append(value)
+        else:
             if motion is not None:
                 raise ParseError(source, line_no, "unit has more than one motion line")
-            close_object()
             if not inputs:
                 raise ParseError(source, line_no, "unit has no inputs")
-            if len(fields) not in (2, 3):
+            if len(value) not in (2, 3):
                 raise ParseError(
                     source, line_no, "M line must be 'M<TAB>label' or 'M<TAB>label<TAB>rate'"
                 )
-            label = _normalized(fields[1], "motion label", source, line_no)
+            label = _normalized(value[1], "motion label", source, line_no)
             rate = 1.0
-            if len(fields) == 3:
+            if len(value) == 3:
                 try:
-                    rate = float(fields[2])
+                    rate = float(value[2])
                 except ValueError:
                     raise ParseError(
-                        source, line_no, f"success rate {fields[2]!r} is not a number"
+                        source, line_no, f"success rate {value[2]!r} is not a number"
                     ) from None
             try:
                 motion = MotionNode(label, rate)
             except ValueError as exc:
                 raise ParseError(source, line_no, str(exc)) from None
-        else:
-            raise ParseError(source, line_no, f"unrecognized record {tag!r}")
         last_record_line = line_no
 
     if last_record_line is not None:
@@ -183,28 +162,11 @@ def parse_kitchen(text: str, source: str = "<string>") -> Kitchen:
     not required.
     """
     keys = set()
-    reader = _ObjectReader(source)
-
-    def close_object():
-        if reader.open:
-            keys.add(reader.take().key)
-
-    for line_no, record in _records(text):
-        if record == "//":
-            close_object()
-            continue
-        fields = record.split("\t")
-        tag = fields[0]
+    for line_no, tag, value in _records(text, source):
         if tag == "O":
-            close_object()
-            reader.start(fields, line_no)
-        elif tag == "S":
-            reader.add_state(fields, line_no)
+            keys.add(value.key)
         elif tag == "M":
             raise ParseError(source, line_no, "motion line not allowed in kitchen file")
-        else:
-            raise ParseError(source, line_no, f"unrecognized record {tag!r}")
-    close_object()
     return Kitchen(frozenset(keys))
 
 

@@ -1,21 +1,17 @@
-"""Task-tree retrieval: iterative deepening, two greedy variants, an oracle.
+"""Task-tree retrieval: iterative deepening and two greedy variants.
 
 All three engines answer the same question: starting from the items in a
 kitchen, which functional units, in what order, produce the goal node?
 Retrieval is AND-OR resolution over the graph: a node is solvable if it is
 in the kitchen, OR if some unit producing it has ALL of its inputs
 solvable one layer down. Depth counts functional-unit layers.
-
-oracle_enumerate is a brute-force ground truth for tests; it is exponential
-in the unit count and not meant for real corpora.
 """
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import FoonGraph, Kitchen, TaskTree, is_available, verify_task_tree
+from .core import FoonGraph, Kitchen, TaskTree, verify_task_tree
 
 NO_PRODUCER = "no-producer"
 DEPTH_LIMIT_EXHAUSTED = "depth-limit-exhausted"
@@ -50,16 +46,6 @@ class RetrievalResult:
         return self.tree is not None
 
 
-def _dedup_first(unit_ids) -> list:
-    seen = set()
-    out = []
-    for uid in unit_ids:
-        if uid not in seen:
-            seen.add(uid)
-            out.append(uid)
-    return out
-
-
 def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None,
                  memoize: bool = True) -> RetrievalResult:
     """Iterative-deepening retrieval; returns the first tree found.
@@ -78,7 +64,7 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
         depth_limit = len(graph.units)
     if depth_limit < 0:
         raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
-    if not is_available(goal, kitchen) and not graph.producers_of(goal):
+    if goal not in kitchen and not graph.producers_of(goal):
         return RetrievalResult(None, NO_PRODUCER, 0)
 
     expansions = 0
@@ -91,7 +77,7 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
             hit = memo.get((key, budget), _MISS)
             if hit is not _MISS:
                 return hit
-        if is_available(key, kitchen):
+        if key in kitchen:
             result = ()
         elif budget == 0:
             result = None
@@ -119,7 +105,7 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
     for d in range(depth_limit + 1):
         found = solve(goal, d, {} if memoize else None)
         if found is not None:
-            tree = TaskTree(tuple(_dedup_first(found)), goal)
+            tree = TaskTree(tuple(dict.fromkeys(found)), goal)
             violation = verify_task_tree(graph, tree, kitchen, goal)
             if violation is not None:
                 raise RuntimeError(f"resolution produced an invalid tree: {violation}")
@@ -130,27 +116,15 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
 def select_candidate(candidates, graph: FoonGraph, heuristic: HeuristicKind):
     """Pick one producing unit: highest success rate or fewest inputs.
 
-    Strict comparisons keep the earliest optimum, so ties go to the lowest
-    unit id when candidates arrive in insertion order.
+    max and min keep the earliest optimum, so ties go to the lowest unit id
+    when candidates arrive in insertion order.
     """
     if not candidates:
         raise ValueError("select_candidate needs at least one candidate")
     if heuristic is HeuristicKind.MAX_SUCCESS_RATE:
-        best = candidates[0]
-        best_rate = graph.units[best].motion.success_rate
-        for uid in candidates[1:]:
-            rate = graph.units[uid].motion.success_rate
-            if rate > best_rate:
-                best, best_rate = uid, rate
-        return best
+        return max(candidates, key=lambda uid: graph.units[uid].motion.success_rate)
     if heuristic is HeuristicKind.MIN_INPUT_COUNT:
-        best = candidates[0]
-        best_count = len(graph.units[best].inputs)
-        for uid in candidates[1:]:
-            count = len(graph.units[uid].inputs)
-            if count < best_count:
-                best, best_count = uid, count
-        return best
+        return min(candidates, key=lambda uid: len(graph.units[uid].inputs))
     raise ValueError(f"unknown heuristic {heuristic!r}")
 
 
@@ -193,7 +167,7 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
     while queue:
         key = queue.popleft()
         expansions += 1
-        if is_available(key, kitchen):
+        if key in kitchen:
             continue
         candidates = graph.producers_of(key)
         if not candidates:
@@ -205,43 +179,13 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
                 visited.add(input_key)
                 queue.append(input_key)
     picked.reverse()
-    ordered = _first_fit_order(graph, _dedup_first(picked), kitchen)
+    ordered = _first_fit_order(graph, list(dict.fromkeys(picked)), kitchen)
     if ordered is None:
         return RetrievalResult(None, GREEDY_DEAD_END, expansions)
     tree = TaskTree(tuple(ordered), goal)
     if verify_task_tree(graph, tree, kitchen, goal) is not None:
         return RetrievalResult(None, GREEDY_DEAD_END, expansions)
     return RetrievalResult(tree, None, expansions)
-
-
-def oracle_enumerate(graph: FoonGraph, goal: str, kitchen: Kitchen, max_units: int) -> list:
-    """Every minimal valid task tree with at most max_units units.
-
-    Exhaustive over unit-id subsets: a subset counts when all of its units
-    can be ordered executably from the kitchen, the goal is covered, and no
-    valid proper subset exists (supersets of a working tree are noise, not
-    different solutions). Each subset appears once, in lowest-id-first-fit
-    order. Exponential; test use only.
-    """
-    n = len(graph.units)
-    valid: list = []
-    for size in range(min(max_units, n) + 1):
-        for combo in itertools.combinations(range(n), size):
-            if combo:
-                if not any(goal in graph.units[uid].output_keys for uid in combo):
-                    continue
-            elif goal not in kitchen:
-                continue
-            ordered = _first_fit_order(graph, combo, kitchen)
-            if ordered is None:
-                continue
-            valid.append((frozenset(combo), tuple(ordered)))
-    sets_only = [members for members, _ in valid]
-    return [
-        TaskTree(ordered, goal)
-        for members, ordered in valid
-        if not any(other < members for other in sets_only)
-    ]
 
 
 def ids_expansion_formula(b: int, d: int) -> int:

@@ -1,6 +1,8 @@
-"""Shared test machinery: random instances and independent depth oracles."""
+"""Shared test machinery: random instances and independent oracles."""
 
-from foon import FoonGraph, FunctionalUnit, Kitchen, MotionNode, ObjectNode
+import itertools
+
+from foon import FoonGraph, FunctionalUnit, Kitchen, MotionNode, ObjectNode, TaskTree
 
 _NAMES = ["bowl", "salt", "onion", "tomato", "pan", "cup", "dough", "butter", "pot", "lid"]
 _STATES = ["clean", "dirty", "empty", "full", "whole", "diced", "hot", "cold", "mixed"]
@@ -119,6 +121,55 @@ def min_layer_depths(graph: FoonGraph, kitchen: Kitchen) -> dict:
                     depth[key] = worst + 1
                     changed = True
     return depth
+
+
+def _first_fit_order(graph: FoonGraph, unit_ids, kitchen: Kitchen):
+    # a copy of the greedy engine's ordering, so the oracle shares no code
+    # with the engine it checks
+    remaining = list(unit_ids)
+    available = set(kitchen.items)
+    ordered = []
+    while remaining:
+        for pos, uid in enumerate(remaining):
+            unit = graph.units[uid]
+            if all(key in available for key in unit.input_keys):
+                ordered.append(uid)
+                available.update(unit.output_keys)
+                del remaining[pos]
+                break
+        else:
+            return None
+    return ordered
+
+
+def oracle_enumerate(graph: FoonGraph, goal: str, kitchen: Kitchen, max_units: int) -> list:
+    """Every minimal valid task tree with at most max_units units.
+
+    Exhaustive over unit-id subsets: a subset counts when all of its units
+    can be ordered executably from the kitchen, the goal is covered, and no
+    valid proper subset exists (supersets of a working tree are noise, not
+    different solutions). Each subset appears once, in lowest-id-first-fit
+    order. Exponential in the unit count.
+    """
+    n = len(graph.units)
+    valid: list = []
+    for size in range(min(max_units, n) + 1):
+        for combo in itertools.combinations(range(n), size):
+            if combo:
+                if not any(goal in graph.units[uid].output_keys for uid in combo):
+                    continue
+            elif goal not in kitchen:
+                continue
+            ordered = _first_fit_order(graph, combo, kitchen)
+            if ordered is None:
+                continue
+            valid.append((frozenset(combo), tuple(ordered)))
+    sets_only = [members for members, _ in valid]
+    return [
+        TaskTree(ordered, goal)
+        for members, ordered in valid
+        if not any(other < members for other in sets_only)
+    ]
 
 
 def goal_min_depth(graph: FoonGraph, kitchen: Kitchen, goal: str):

@@ -10,12 +10,12 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import helpers
+from helpers import oracle_enumerate
 from conftest import DATA, fixture_text, load_graph
 from foon import (
     FoonGraph,
     HeuristicKind,
     merge,
-    oracle_enumerate,
     ids_expansion_formula,
     parse_kitchen,
     parse_subgraph,

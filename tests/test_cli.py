@@ -62,6 +62,23 @@ def test_merge_defaults_to_stdout(capsys):
     assert out.startswith("# foon subgraph\n") and "M\tfreeze\t0.95" in out
 
 
+def test_input_with_byte_order_mark_reads_like_plain_utf8(tmp_path, capsys):
+    bom = tmp_path / "bom.foon"
+    bom.write_bytes(b"\xef\xbb\xbf" + (DATA / "F1.foon").read_bytes())
+    assert main(["stats", F1]) == 0
+    plain = capsys.readouterr().out
+    assert main(["stats", str(bom)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_non_utf8_input_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.foon"
+    bad.write_bytes(b"\xff\xfeO\x00\t\x00")
+    assert main(["stats", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {bad}: ") and err.count("\n") == 1
+
+
 # --- search ---
 
 
@@ -94,6 +111,11 @@ def test_search_unknown_goal_exits_one(capsys):
 def test_search_max_depth_limits_ids(capsys):
     assert main(["search", F2, "-g", "sweet potato{fried}", "-k", K2, "--max-depth", "2"]) == 1
     assert "depth-limit-exhausted" in capsys.readouterr().err
+
+
+def test_search_negative_max_depth_is_usage_error(capsys):
+    assert main(["search", F2, "-g", "sweet potato{fried}", "-k", K2, "--max-depth", "-1"]) == 2
+    assert "--max-depth" in capsys.readouterr().err
 
 
 def test_search_goal_name_resolves_when_unique(capsys):

@@ -11,7 +11,6 @@ from foon import (
     MotionNode,
     ObjectNode,
     TaskTree,
-    is_available,
     merge,
     normalize_label,
     verify_task_tree,
@@ -193,9 +192,9 @@ def test_merge_with_self_changes_nothing(graph):
 
 
 def test_availability_is_exact_on_the_full_key():
-    assert is_available("bowl{clean}", Kitchen(frozenset(["bowl{clean}"])))
-    assert not is_available("bowl{clean}[salt]", Kitchen(frozenset(["bowl{clean}"])))
-    assert not is_available("bowl{clean}", Kitchen(frozenset(["bowl{clean}[salt]"])))
+    assert "bowl{clean}" in Kitchen(frozenset(["bowl{clean}"]))
+    assert "bowl{clean}[salt]" not in Kitchen(frozenset(["bowl{clean}"]))
+    assert "bowl{clean}" not in Kitchen(frozenset(["bowl{clean}[salt]"]))
 
 
 def test_kitchen_from_nodes():

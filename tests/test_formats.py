@@ -2,6 +2,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies
 from conftest import DATA, fixture_text, load_graph
@@ -152,6 +153,36 @@ def test_error_line_numbers_point_into_later_blocks():
     expect_error(text, "is not a number", line=6)
 
 
+def test_unterminated_unit_points_at_its_last_state_line():
+    err = expect_error(one_block("O\ta", "M\tm", "O\tb", "S\ts"), "unterminated unit")
+    assert err.line == 4
+
+
+@pytest.mark.parametrize("parser", [parse_subgraph, parse_kitchen])
+def test_bad_labels_report_their_own_line(parser):
+    head = ("O\tbowl", "S\tclean", "S\tempty\t{salt,pepper}")
+    expect_error(one_block(*head, "S\tho,t"), "state label", line=4, parser=parser)
+    expect_error(one_block(*head, "S\thot\t{salt,pep]per}"), "ingredient label", line=4,
+                 parser=parser)
+    expect_error(one_block(*head, "O\tcu}p"), "object name", line=4, parser=parser)
+
+
+# the format's record tags and structural characters, plus text that
+# str.split/strip or float() treat specially
+_FUZZ_TOKENS = ["\t", "\n", "O", "S", "M", "//", "#", "{", "}", "[", "]", ",", "a", " ",
+                "\ufeff", "\r", "\x0b", "nan", "1e400", "0.5"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=60).map("".join))
+def test_parsers_raise_only_parse_errors_on_arbitrary_text(text):
+    for parser in (parse_subgraph, parse_kitchen):
+        try:
+            parser(text)
+        except ParseError:
+            pass
+
+
 # --- kitchen parsing ---
 
 
@@ -174,6 +205,23 @@ def test_parse_kitchen_rejects_motion_lines():
         line=2,
         parser=parse_kitchen,
     )
+
+
+def test_kitchen_motion_line_after_states_reports_its_line():
+    expect_error(
+        one_block("O\tbowl", "S\tclean", "// ", "O\twater", "S\tliquid", "S\tcold", "M\tfreeze"),
+        "motion line not allowed in kitchen file",
+        line=7,
+        parser=parse_kitchen,
+    )
+
+
+def test_parse_kitchen_with_separators_dedups_items():
+    text = one_block(
+        "O\tcup", "S\tclean", "//", "O\tCup", "S\tclean", "//", "//", "O\tbowl",
+        "S\t\t{salt}", "O\tbowl", "S\t\t{salt}", "//",
+    )
+    assert parse_kitchen(text).items == frozenset(["cup{clean}", "bowl[salt]"])
 
 
 def test_kitchen_fixtures_load():

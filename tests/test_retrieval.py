@@ -3,6 +3,7 @@ import random
 import pytest
 
 import helpers
+from helpers import oracle_enumerate
 from foon import (
     DEPTH_LIMIT_EXHAUSTED,
     GREEDY_DEAD_END,
@@ -14,7 +15,6 @@ from foon import (
     MotionNode,
     ObjectNode,
     ids_expansion_formula,
-    oracle_enumerate,
     retrieve_greedy,
     retrieve_ids,
     select_candidate,
