@@ -6,6 +6,7 @@ to standard output or to `-o` files.
 """
 
 import argparse
+import itertools
 import re
 import sys
 
@@ -97,11 +98,12 @@ def resolve_goal(spec: str, graph: FoonGraph, kitchen: Kitchen) -> str:
         raise CliError(EXIT_USAGE, f"bad goal spec {spec!r}: {exc}") from None
     if match["states"] is not None or match["ings"] is not None:
         return key
-    matches = sorted(
+    # startswith is a cheap prefilter: a key with this bare name starts with it
+    matches = sorted({
         candidate
-        for candidate in set(graph.node_index) | set(kitchen.items)
-        if _key_name(candidate) == key
-    )
+        for candidate in itertools.chain(graph.node_index, kitchen.items)
+        if candidate.startswith(key) and _key_name(candidate) == key
+    })
     if len(matches) > 1:
         raise CliError(
             EXIT_USAGE, f"goal name {spec.strip()!r} is ambiguous: " + ", ".join(matches)

@@ -146,6 +146,11 @@ class FoonGraph:
     makes every downstream algorithm deterministic. Construction is
     single-writer; after construction the graph is treated as immutable and
     may be shared by concurrent readers.
+
+    The graph caches the depth table of the last kitchen passed to
+    :meth:`min_depths` as one ``(kitchen, table)`` tuple, replaced in a
+    single assignment, so a concurrent reader sees either the old pair or
+    the new one, never a table of one kitchen filed under another.
     """
 
     def __init__(self):
@@ -155,6 +160,7 @@ class FoonGraph:
         self.producers: dict[int, list[int]] = {}
         self.consumers: dict[int, list[int]] = {}
         self._unit_index: dict[tuple, int] = {}
+        self._depths = None
 
     @classmethod
     def from_units(cls, units) -> "FoonGraph":
@@ -196,6 +202,8 @@ class FoonGraph:
         uid = len(self.units)
         self.units.append(unit)
         self._unit_index[ident] = uid
+        # a new unit can only shorten depths; a rate bump changes none
+        self._depths = None
         for obj in unit.inputs:
             self.consumers[self._register(obj)].append(uid)
         for obj in unit.outputs:
@@ -215,6 +223,41 @@ class FoonGraph:
         if nid is None:
             return []
         return list(self.consumers[nid])
+
+    def min_depths(self, kitchen: "Kitchen") -> dict:
+        """Fewest functional-unit layers that reach each key from the kitchen.
+
+        Kitchen keys are at depth 0; a unit fires one layer after the
+        deepest of its inputs, and each output takes the layer of the first
+        unit that produces it. One layered pass (Knuth 1977, in the
+        hypergraph form of Gallo et al. 1993): every unit counts its inputs
+        not yet reached and fires when the count hits zero. Keys that
+        cannot be reached are absent. The table of the last kitchen is
+        cached until :meth:`add_unit` appends a unit; callers must not
+        mutate it.
+        """
+        cached = self._depths
+        if cached is not None and cached[0] == kitchen:
+            return cached[1]
+        units, node_index, consumers = self.units, self.node_index, self.consumers
+        missing = [len(unit.input_keys) for unit in units]
+        table = dict.fromkeys(kitchen.items, 0)
+        frontier = [key for key in kitchen.items if key in node_index]
+        depth = 0
+        while frontier:
+            depth += 1
+            reached = []
+            for key in frontier:
+                for uid in consumers[node_index[key]]:
+                    missing[uid] -= 1
+                    if missing[uid] == 0:
+                        for out in units[uid].output_keys:
+                            if out not in table:
+                                table[out] = depth
+                                reached.append(out)
+            frontier = reached
+        self._depths = (kitchen, table)
+        return table
 
     def find_unit(self, unit: FunctionalUnit):
         """Id of the stored unit with the same identity, or None."""

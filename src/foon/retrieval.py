@@ -17,8 +17,6 @@ NO_PRODUCER = "no-producer"
 DEPTH_LIMIT_EXHAUSTED = "depth-limit-exhausted"
 GREEDY_DEAD_END = "greedy-dead-end"
 
-_MISS = object()
-
 
 class HeuristicKind(Enum):
     MAX_SUCCESS_RATE = "max_success_rate"
@@ -29,8 +27,10 @@ class HeuristicKind(Enum):
 class RetrievalResult:
     """Outcome of one retrieval: a tree or a failure reason, plus expansions.
 
-    expansions counts solve() invocations for iterative deepening and queue
-    dequeues for the greedy engines.
+    expansions counts, for iterative deepening, the (key, budget) pairs the
+    tree rebuild visits on the default path (so 1 for a goal already in
+    the kitchen and 0 for every failure) and solve() invocations on the
+    literal loop (memoize=False); for the greedy engines, queue dequeues.
     """
 
     tree: TaskTree | None
@@ -50,67 +50,110 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
                  memoize: bool = True) -> RetrievalResult:
     """Iterative-deepening retrieval; returns the first tree found.
 
-    Tries depth bounds d = 0, 1, ..., depth_limit. At each bound, a node
-    resolves if it is in the kitchen, or (with budget left) if some
-    producing unit, tried in insertion order and committing to the first
-    success, has all inputs resolvable at budget-1. Units come back in
-    dependency order with later repeats dropped.
+    Iterative deepening tries depth bounds d = 0, 1, ..., depth_limit. At
+    each bound, a node resolves if it is in the kitchen, or (with budget
+    left) if some producing unit, tried in insertion order and committing
+    to the first success, has all inputs resolvable at budget-1. Units come
+    back in dependency order with later repeats dropped.
+
+    The default path gives the same tree without re-searching at every
+    bound. It reads the goal's minimum depth D from the graph's cached
+    depth table (:meth:`FoonGraph.min_depths`, built once per graph and
+    kitchen), fails when D exceeds the limit, and otherwise rebuilds the
+    bound-D tree with an explicit stack: at budget b it takes the first
+    producer whose inputs all have depth <= b-1, which is exactly the
+    producer the search at that bound commits to. memoize=False runs the
+    literal loop instead, the reference whose expansion count the closed
+    form :func:`ids_expansion_formula` predicts; it recurses once per layer.
 
     depth_limit defaults to the unit count, a trivially sufficient bound.
-    Memoization only caches within one depth iteration and never changes
-    the result; switch it off to measure raw expansion counts.
     """
     if depth_limit is None:
         depth_limit = len(graph.units)
     if depth_limit < 0:
         raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
-    if goal not in kitchen and not graph.producers_of(goal):
+    nid = graph.node_index.get(goal)
+    if goal not in kitchen and (nid is None or not graph.producers[nid]):
         return RetrievalResult(None, NO_PRODUCER, 0)
+    if not memoize:
+        return _literal_ids(graph, goal, kitchen, depth_limit)
+    if goal in kitchen:
+        return RetrievalResult(TaskTree((), goal), None, 1)
+    depths = graph.min_depths(kitchen)
+    bound = depths.get(goal)
+    if bound is None or bound > depth_limit:
+        return RetrievalResult(None, DEPTH_LIMIT_EXHAUSTED, 0)
 
+    producers, node_index, units = graph.producers, graph.node_index, graph.units
+    unreached = bound + 1  # stands in for the depth of keys absent from the table
+    emitted = {}
+    visited = set()
+    # an int entry emits that unit; a (key, budget) pair resolves that key
+    stack = [(goal, bound)]
+    while stack:
+        item = stack.pop()
+        if type(item) is int:
+            emitted[item] = None
+            continue
+        if item in visited:
+            continue
+        visited.add(item)
+        key, budget = item
+        if key in kitchen:
+            continue
+        below = budget - 1
+        for uid in producers[node_index[key]]:
+            inputs = units[uid].input_keys
+            if all(depths.get(k, unreached) <= below for k in inputs):
+                break
+        else:
+            raise RuntimeError(f"depth table has no producer for {key} at budget {budget}")
+        stack.append(uid)
+        stack.extend((k, below) for k in reversed(inputs))
+    return _verified(graph, TaskTree(tuple(emitted), goal), kitchen, len(visited))
+
+
+def _literal_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit: int):
+    """The literal iterative-deepening loop; expansions counts solve() calls."""
     expansions = 0
 
-    def solve(key, budget, memo):
+    def solve(key, budget):
         # returns a dependency-ordered tuple of unit ids, or None
         nonlocal expansions
         expansions += 1
-        if memo is not None:
-            hit = memo.get((key, budget), _MISS)
-            if hit is not _MISS:
-                return hit
         if key in kitchen:
-            result = ()
-        elif budget == 0:
-            result = None
-        else:
-            result = None
-            for uid in graph.producers_of(key):
-                collected = []
-                satisfiable = True
-                for input_key in graph.units[uid].input_keys:
-                    sub = solve(input_key, budget - 1, memo)
-                    if sub is None:
-                        # keep resolving the remaining inputs; the search
-                        # visits every child of a failed unit
-                        satisfiable = False
-                    elif satisfiable:
-                        collected.extend(sub)
-                if satisfiable:
-                    collected.append(uid)
-                    result = tuple(collected)
-                    break
-        if memo is not None:
-            memo[(key, budget)] = result
-        return result
+            return ()
+        if budget == 0:
+            return None
+        for uid in graph.producers[graph.node_index[key]]:
+            collected = []
+            satisfiable = True
+            for input_key in graph.units[uid].input_keys:
+                sub = solve(input_key, budget - 1)
+                if sub is None:
+                    # keep resolving the remaining inputs; the search
+                    # visits every child of a failed unit
+                    satisfiable = False
+                elif satisfiable:
+                    collected.extend(sub)
+            if satisfiable:
+                collected.append(uid)
+                return tuple(collected)
+        return None
 
     for d in range(depth_limit + 1):
-        found = solve(goal, d, {} if memoize else None)
+        found = solve(goal, d)
         if found is not None:
-            tree = TaskTree(tuple(dict.fromkeys(found)), goal)
-            violation = verify_task_tree(graph, tree, kitchen, goal)
-            if violation is not None:
-                raise RuntimeError(f"resolution produced an invalid tree: {violation}")
-            return RetrievalResult(tree, None, expansions)
+            return _verified(graph, TaskTree(tuple(dict.fromkeys(found)), goal), kitchen,
+                             expansions)
     return RetrievalResult(None, DEPTH_LIMIT_EXHAUSTED, expansions)
+
+
+def _verified(graph: FoonGraph, tree: TaskTree, kitchen: Kitchen, expansions: int):
+    violation = verify_task_tree(graph, tree, kitchen, tree.goal_key)
+    if violation is not None:
+        raise RuntimeError(f"resolution produced an invalid tree: {violation}")
+    return RetrievalResult(tree, None, expansions)
 
 
 def select_candidate(candidates, graph: FoonGraph, heuristic: HeuristicKind):

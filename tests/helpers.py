@@ -53,6 +53,38 @@ def random_instance(rng):
     return graph, rng.choice(keys), kitchen
 
 
+def random_scale_instance(rng, n_units: int):
+    """A large retrieval problem: (graph, kitchen) with n_units units.
+
+    n_units // 3 stateless keys; the first 5% are stock that no unit
+    produces, and the kitchen holds about 70% of it. Each unit makes
+    one key (sometimes two) from 1-3 inputs drawn from the 40 keys just
+    below its first output, or, one time in twenty, from anywhere, which
+    adds cycles. At 1k-10k units this gives min depths up to about 16, a
+    few percent of keys with producers that cannot be reached, and stock
+    keys missing from the kitchen that nothing produces.
+    """
+    n_keys = n_units // 3
+    nodes = [stateless(f"item{i}") for i in range(n_keys)]
+    stock = n_keys // 20
+    units = []
+    while len(units) < n_units:
+        out = rng.randrange(stock, n_keys)
+        outs = {out} if rng.random() < 0.8 else {out, rng.randrange(stock, n_keys)}
+        pool = range(n_keys) if rng.random() < 0.05 else range(max(0, out - 40), out)
+        ins = set(rng.sample(pool, min(len(pool), rng.randint(1, 3)))) - outs
+        if ins:
+            units.append(
+                FunctionalUnit(
+                    tuple(nodes[i] for i in sorted(ins)),
+                    MotionNode(f"step{len(units)}", round(rng.random(), 3)),
+                    tuple(nodes[i] for i in sorted(outs)),
+                )
+            )
+    kitchen = Kitchen(frozenset(node.key for node in nodes[:stock] if rng.random() < 0.7))
+    return FoonGraph.from_units(units), kitchen
+
+
 def random_node(rng) -> ObjectNode:
     states = rng.sample(_STATES, rng.randint(0, 2))
     ings = rng.sample(_NAMES, rng.randint(1, 2)) if rng.random() < 0.25 else []

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from conftest import DATA, fixture_text
-from foon import FoonGraph, parse_subgraph
+from foon import FoonGraph, FunctionalUnit, MotionNode, ObjectNode, parse_subgraph, serialize_graph
 from foon.cli import main
 
 F1 = str(DATA / "F1.foon")
@@ -134,6 +136,29 @@ def test_search_goal_name_without_matches_exits_one(capsys):
     assert "no-producer" in capsys.readouterr().err
 
 
+def test_ambiguous_name_lists_a_key_in_graph_and_kitchen_once(capsys):
+    # tray{empty} is both a node of F1 and an item of K1
+    assert main(["search", F1, "-g", "tray", "-k", K1]) == 2
+    assert capsys.readouterr().err == "goal name 'tray' is ambiguous: tray{empty}, tray{full}\n"
+
+
+def test_search_deep_chain_writes_the_whole_tree(tmp_path, capsys):
+    chain = [
+        FunctionalUnit((ObjectNode(f"link {i}"),), MotionNode(f"step {i}"),
+                       (ObjectNode(f"link {i + 1}"),))
+        for i in range(2000)
+    ]
+    graph = tmp_path / "chain.foon"
+    graph.write_text(serialize_graph(FoonGraph.from_units(chain)), encoding="utf-8")
+    kitchen = tmp_path / "chain.kitchen"
+    kitchen.write_text("O\tlink 0\n", encoding="utf-8")
+    tree_path = tmp_path / "tree.foon"
+    assert main(["search", str(graph), "-g", "link 2000", "-k", str(kitchen),
+                 "-o", str(tree_path)]) == 0
+    assert "2000 functional units" in capsys.readouterr().err
+    assert len(parse_subgraph(tree_path.read_text(encoding="utf-8"))) == 2000
+
+
 def test_search_malformed_goal_spec(capsys):
     assert main(["search", F1, "-g", "ice{so{lid}", "-k", K1]) == 2
     assert "bad goal spec" in capsys.readouterr().err
@@ -186,6 +211,28 @@ def test_compare_renders_dashes_for_unreachable_goals(tmp_path, capsys):
     assert csv_lines[0] == "goal,ids,h1,h2"
     assert "goal{done},1,1,5" in csv_lines
     assert "nothing{here},,," in csv_lines
+
+
+def test_compare_unreachable_goal_with_producers_is_prompt(tmp_path, capsys):
+    # a ring of 3,000 units feeding the goal, and a kitchen with none of it
+    ring = [
+        FunctionalUnit((ObjectNode(f"ring {i}"),), MotionNode("turn"),
+                       (ObjectNode(f"ring {(i + 1) % 3000}"),))
+        for i in range(3000)
+    ]
+    ring.append(FunctionalUnit((ObjectNode("ring 0"),), MotionNode("serve"), (ObjectNode("dish"),)))
+    graph = tmp_path / "ring.foon"
+    graph.write_text(serialize_graph(FoonGraph.from_units(ring)), encoding="utf-8")
+    kitchen = tmp_path / "empty.kitchen"
+    kitchen.write_text("", encoding="utf-8")
+    goals = tmp_path / "goals.txt"
+    goals.write_text("dish\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["compare", str(graph), "-k", str(kitchen), "--goals", str(goals)]) == 0
+    elapsed = time.perf_counter() - start
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.split() == ["dish", "-", "-", "-"]
+    assert elapsed < 2.0, f"compare took {elapsed:.3f}s"
 
 
 def test_compare_empty_goals_file_prints_header_only(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 
+import helpers
 import strategies
 from foon import (
     FoonGraph,
@@ -246,3 +248,13 @@ def test_verify_empty_tree_needs_goal_in_kitchen():
     assert verify_task_tree(graph, TaskTree((), "a"), Kitchen(frozenset(["a"])), "a") is None
     violation = verify_task_tree(graph, TaskTree((), "a"), Kitchen(), "a")
     assert violation is not None and violation.position == 0
+
+
+def test_min_depths_matches_the_fixpoint_oracle():
+    rng = random.Random(5150)
+    for _ in range(300):
+        graph, _, kitchen = helpers.random_instance(rng)
+        want = {key: depth for key, depth in helpers.min_layer_depths(graph, kitchen).items()
+                if depth != helpers.INF}
+        want.update(dict.fromkeys(kitchen.items, 0))
+        assert graph.min_depths(kitchen) == want

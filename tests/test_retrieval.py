@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -345,3 +346,123 @@ def test_ids_layer_minimality_quick():
         if best > 0:
             shallower = retrieve_ids(graph, goal, kitchen, depth_limit=int(best) - 1)
             assert not shallower.found
+
+
+# --- default path against the literal loop ---
+
+
+def assert_same_answer(graph, goal, kitchen, limit, literal_limit):
+    default = retrieve_ids(graph, goal, kitchen, depth_limit=limit)
+    literal = retrieve_ids(graph, goal, kitchen, depth_limit=literal_limit, memoize=False)
+    assert default.tree == literal.tree, (goal, limit)
+    assert default.reason == literal.reason, (goal, limit)
+
+
+def test_default_ids_matches_literal_loop_on_random_instances():
+    rng = random.Random(8086)
+    for _ in range(2000):
+        graph, goal, kitchen = helpers.random_instance(rng)
+        reachable = helpers.goal_min_depth(graph, kitchen, goal) != helpers.INF
+        for limit in (None, 0, 1, 2, 3):
+            # Without a memo the literal loop is exponential in the bound on
+            # unreachable goals in cyclic graphs (one such instance took 32 s
+            # at the default bound). Every bound fails those goals, so for
+            # them bound 3 stands in for the default.
+            literal_limit = 3 if limit is None and not reachable else limit
+            assert_same_answer(graph, goal, kitchen, limit, literal_limit)
+
+
+def test_default_ids_matches_literal_loop_on_fixture_goals(f1, f2, f3, cyclic, k1, k2, k3,
+                                                          k_mini, empty_kitchen):
+    for graph in (f1, f2, f3, cyclic):
+        for kitchen in (k1, k2, k3, k_mini, empty_kitchen):
+            for goal in sorted(set(graph.node_index) | kitchen.items):
+                for limit in (None, 0, 1, 2, 3):
+                    assert_same_answer(graph, goal, kitchen, limit, limit)
+
+
+# --- scale and shape ---
+
+
+@pytest.mark.parametrize("n_units", [1000, 10000])
+def test_default_ids_depth_matches_fixpoint_oracle_at_scale(n_units):
+    rng = random.Random(n_units)
+    graph, kitchen = helpers.random_scale_instance(rng, n_units)
+    depths = helpers.min_layer_depths(graph, kitchen)
+    keys = sorted(graph.node_index)
+    reachable = [k for k in keys if depths[k] != helpers.INF]
+    unreachable = [k for k in keys if depths[k] == helpers.INF and graph.producers_of(k)]
+    assert reachable and unreachable
+    for goal in rng.sample(reachable, 40):
+        result = retrieve_ids(graph, goal, kitchen)
+        assert result.found
+        assert helpers.tree_goal_depth(graph, result.tree, kitchen) == depths[goal]
+    for goal in rng.sample(unreachable, min(len(unreachable), 20)):
+        assert retrieve_ids(graph, goal, kitchen).reason == DEPTH_LIMIT_EXHAUSTED
+
+
+def timed_ids(graph, goal, kitchen):
+    start = time.perf_counter()
+    result = retrieve_ids(graph, goal, kitchen)
+    return result, time.perf_counter() - start
+
+
+def test_default_ids_solves_a_5000_unit_chain_without_recursion():
+    graph = FoonGraph.from_units(
+        simple_unit([f"link {i}"], f"step {i}", [f"link {i + 1}"]) for i in range(5000)
+    )
+    result, elapsed = timed_ids(graph, "link 5000", Kitchen(frozenset(["link 0"])))
+    assert result.tree.unit_ids == tuple(range(5000))
+    assert elapsed < 1.0, f"chain took {elapsed:.3f}s"
+
+
+def test_default_ids_shares_stacked_diamonds():
+    units = []
+    for i in range(200):
+        units += [
+            simple_unit([f"top {i}"], f"left {i}", [f"left {i}"]),
+            simple_unit([f"top {i}"], f"right {i}", [f"right {i}"]),
+            simple_unit([f"left {i}", f"right {i}"], f"join {i}", [f"top {i + 1}"]),
+        ]
+    graph = FoonGraph.from_units(units)
+    result, elapsed = timed_ids(graph, "top 200", Kitchen(frozenset(["top 0"])))
+    assert result.tree.unit_ids == tuple(range(600))
+    assert elapsed < 1.0, f"diamonds took {elapsed:.3f}s"
+
+
+# --- the cached depth table ---
+
+
+def test_ids_sees_a_shallower_producer_added_after_a_search():
+    graph = FoonGraph.from_units(
+        [simple_unit(["a"], "one", ["b"]), simple_unit(["b"], "two", ["c"]),
+         simple_unit(["c"], "three", ["g"])]
+    )
+    kitchen = Kitchen(frozenset(["a"]))
+    assert retrieve_ids(graph, "g", kitchen).tree.unit_ids == (0, 1, 2)
+    assert graph.add_unit(simple_unit(["a"], "shortcut", ["g"])).added
+    assert retrieve_ids(graph, "g", kitchen).tree.unit_ids == (3,)
+
+
+def test_alternating_kitchens_answer_like_fresh_graphs():
+    rng = random.Random(1618)
+    for _ in range(200):
+        graph, _, first = helpers.random_instance(rng)
+        second = Kitchen(frozenset(k for k in graph.node_index if rng.random() < 0.35))
+        for goal in sorted(graph.node_index):
+            for kitchen in (first, second, first):
+                fresh = FoonGraph.from_units(graph.units)
+                got = retrieve_ids(graph, goal, kitchen)
+                want = retrieve_ids(fresh, goal, kitchen)
+                assert (got.tree, got.reason, got.expansions) == (
+                    want.tree, want.reason, want.expansions)
+
+
+def test_rate_only_duplicate_keeps_the_answer_and_the_table(f3, k3):
+    before = retrieve_ids(f3, "goal{done}", k3)
+    table = f3.min_depths(k3)
+    unit = f3.units[before.tree.unit_ids[0]]
+    bumped = FunctionalUnit(unit.inputs, MotionNode(unit.motion.label, 1.0), unit.outputs)
+    assert not f3.add_unit(bumped).added
+    assert f3.min_depths(k3) is table
+    assert retrieve_ids(f3, "goal{done}", k3) == before
