@@ -123,8 +123,9 @@ def _run_algorithm(algo: str, graph, goal: str, kitchen, max_depth=None):
 def cmd_merge(args) -> int:
     units = []
     parsed = 0
+    nodes = {}  # one intern table for every file of the merge
     for path in args.inputs:
-        file_units = parse_subgraph(_read(path), path)
+        file_units = parse_subgraph(_read(path), path, nodes)
         parsed += len(file_units)
         units.extend(file_units)
     graph = FoonGraph.from_units(units)
@@ -151,7 +152,8 @@ def cmd_search(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NOT_FOUND
-    _write(args.output, serialize_task_tree(graph, result.tree, kitchen, algorithm=args.algo))
+    # retrieval verified the tree already; the graph-local path writes the same bytes
+    _write(args.output, serialize_task_tree(graph, result.tree, algorithm=args.algo))
     print(
         f"task tree for {goal}: {_plural(len(result.tree.unit_ids), 'functional unit')} "
         f"({_plural(result.expansions, 'expansion')})",

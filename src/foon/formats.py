@@ -36,29 +36,52 @@ class ParseError(Exception):
         self.reason = reason
 
 
-def _parse_ingredients(field: str, source, line_no) -> list:
+def _parse_ingredients(field: str, nodes: dict, source, line_no) -> list:
     if len(field) < 2 or field[0] != "{" or field[-1] != "}":
         raise ParseError(source, line_no, f"ingredient set {field!r} must be {{a,b,...}}")
     inner = field[1:-1]
     if not inner.strip():
         raise ParseError(source, line_no, "empty ingredient set")
-    return [_normalized(part, "ingredient label", source, line_no) for part in inner.split(",")]
+    return [
+        nodes.get(part) or _normalized(part, "ingredient label", nodes, source, line_no)
+        for part in inner.split(",")
+    ]
 
 
-def _normalized(raw: str, what: str, source, line_no) -> str:
+def _normalized(raw: str, what: str, nodes: dict, source, line_no) -> str:
+    """Normalize a label that missed the table, and remember it if it is valid."""
     try:
-        return normalize_label(raw, what)
+        label = normalize_label(raw, what)
     except ValueError as exc:
         raise ParseError(source, line_no, str(exc)) from None
+    nodes[raw] = label
+    return label
 
 
-def _records(text: str, source: str):
+def _object(name: str, states: list, ingredients: set, nodes: dict) -> ObjectNode:
+    key = (name, frozenset(states), frozenset(ingredients))
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = ObjectNode(*key)
+    return node
+
+
+def _records(text: str, source: str, nodes: dict):
     """Yield (line number, tag, value) records, minus comments and blanks.
 
     An O line and the S lines after it fold into one ("O", ObjectNode)
     record numbered by its last line. M lines yield ("M", fields) and unit
-    separators ("//", None). Labels are normalized on the line that holds
+    separators ("//", None). Labels are checked on the line that holds
     them, so every ParseError names its own line.
+
+    nodes is the intern table, a plain dict owned by the caller. It maps
+    each raw label that passed validation to its normalized text, and each
+    normalized (name, states, ingredients) to its one ObjectNode, so a
+    label is normalized, and a node built, once per table however often
+    the text repeats them. A label missing from the table is checked in
+    full, and only a valid one enters it, so the table never changes what
+    a text parses to or which error it reports. A normalized label is never
+    empty, so ``nodes.get(raw) or ...`` falls through on a miss only.
     """
     name = None
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -75,20 +98,25 @@ def _records(text: str, source: str):
                     source, line_no, "S line must be 'S<TAB>state' or 'S<TAB>state<TAB>{ings}'"
                 )
             if len(fields) == 3:
-                ingredients.update(_parse_ingredients(fields[2], source, line_no))
-            if fields[1].strip():
-                states.append(_normalized(fields[1], "state label", source, line_no))
+                ingredients.update(_parse_ingredients(fields[2], nodes, source, line_no))
+            state = fields[1]
+            if state.strip():
+                states.append(
+                    nodes.get(state) or _normalized(state, "state label", nodes, source, line_no)
+                )
             elif len(fields) == 2:
                 raise ParseError(source, line_no, "empty state label")
             last_line = line_no
             continue
         if name is not None:
-            yield last_line, "O", ObjectNode(name, frozenset(states), frozenset(ingredients))
+            yield last_line, "O", _object(name, states, ingredients, nodes)
             name = None
         if tag == "O":
             if len(fields) != 2:
                 raise ParseError(source, line_no, "O line must be 'O<TAB>name'")
-            name = _normalized(fields[1], "object name", source, line_no)
+            name = nodes.get(fields[1]) or _normalized(
+                fields[1], "object name", nodes, source, line_no
+            )
             states, ingredients, last_line = [], set(), line_no
         elif record == "//":
             yield line_no, "//", None
@@ -97,20 +125,46 @@ def _records(text: str, source: str):
         else:
             raise ParseError(source, line_no, f"unrecognized record {tag!r}")
     if name is not None:
-        yield last_line, "O", ObjectNode(name, frozenset(states), frozenset(ingredients))
+        yield last_line, "O", _object(name, states, ingredients, nodes)
 
 
-def parse_subgraph(text: str, source: str = "<string>") -> list:
+def _motion(fields: list, nodes: dict, source, line_no) -> MotionNode:
+    if len(fields) not in (2, 3):
+        raise ParseError(source, line_no, "M line must be 'M<TAB>label' or 'M<TAB>label<TAB>rate'")
+    label = nodes.get(fields[1]) or _normalized(fields[1], "motion label", nodes, source, line_no)
+    rate = 1.0
+    if len(fields) == 3:
+        try:
+            rate = float(fields[2])
+        except ValueError:
+            raise ParseError(source, line_no, f"success rate {fields[2]!r} is not a number") from None
+    try:
+        return MotionNode(label, rate)
+    except ValueError as exc:
+        raise ParseError(source, line_no, str(exc)) from None
+
+
+def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = None) -> list:
     """Parse the subgraph format into a list of FunctionalUnit in file order.
 
     Duplicates are preserved; deduplication is FoonGraph's job.
+
+    nodes is the intern table that :func:`_records` describes; a fresh one
+    is made when none is given. Passing one dict to the parses of many
+    files, as ``foon merge`` does, normalizes each distinct label and builds
+    each distinct node once across all of them. Motions are interned in the
+    same table by their raw M fields, so the rate keeps its spelling
+    (``-0.0`` stays apart from ``0.0``). The table never changes the result:
+    units, keys and errors are the same with or without it.
     """
+    if nodes is None:
+        nodes = {}
     units: list = []
     inputs: list = []
     outputs: list = []
     motion = None
     last_record_line = None
-    for line_no, tag, value in _records(text, source):
+    for line_no, tag, value in _records(text, source, nodes):
         if tag == "//":
             if last_record_line is None:
                 raise ParseError(source, line_no, "empty functional unit")
@@ -131,23 +185,11 @@ def parse_subgraph(text: str, source: str = "<string>") -> list:
                 raise ParseError(source, line_no, "unit has more than one motion line")
             if not inputs:
                 raise ParseError(source, line_no, "unit has no inputs")
-            if len(value) not in (2, 3):
-                raise ParseError(
-                    source, line_no, "M line must be 'M<TAB>label' or 'M<TAB>label<TAB>rate'"
-                )
-            label = _normalized(value[1], "motion label", source, line_no)
-            rate = 1.0
-            if len(value) == 3:
-                try:
-                    rate = float(value[2])
-                except ValueError:
-                    raise ParseError(
-                        source, line_no, f"success rate {value[2]!r} is not a number"
-                    ) from None
-            try:
-                motion = MotionNode(label, rate)
-            except ValueError as exc:
-                raise ParseError(source, line_no, str(exc)) from None
+            # the fields start with "M", so they never equal a label or node key
+            key = tuple(value)
+            motion = nodes.get(key)
+            if motion is None:
+                motion = nodes[key] = _motion(value, nodes, source, line_no)
         last_record_line = line_no
 
     if last_record_line is not None:
@@ -162,7 +204,7 @@ def parse_kitchen(text: str, source: str = "<string>") -> Kitchen:
     not required.
     """
     keys = set()
-    for line_no, tag, value in _records(text, source):
+    for line_no, tag, value in _records(text, source, {}):
         if tag == "O":
             keys.add(value.key)
         elif tag == "M":

@@ -203,6 +203,7 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
     reversed, deduplicated, reordered into executable order, and verified;
     a committed choice that cannot execute fails the whole run.
     """
+    producers, node_index = graph.producers, graph.node_index
     queue = deque([goal])
     visited = {goal}
     picked: list = []
@@ -212,7 +213,8 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
         expansions += 1
         if key in kitchen:
             continue
-        candidates = graph.producers_of(key)
+        nid = node_index.get(key)
+        candidates = producers[nid] if nid is not None else ()
         if not candidates:
             return RetrievalResult(None, NO_PRODUCER, expansions)
         uid = select_candidate(candidates, graph, heuristic)

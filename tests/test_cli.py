@@ -3,7 +3,20 @@ import time
 import pytest
 
 from conftest import DATA, fixture_text
-from foon import FoonGraph, FunctionalUnit, MotionNode, ObjectNode, parse_subgraph, serialize_graph
+import foon.formats
+import foon.retrieval
+from foon import (
+    FoonGraph,
+    FunctionalUnit,
+    MotionNode,
+    ObjectNode,
+    parse_kitchen,
+    parse_subgraph,
+    retrieve_ids,
+    serialize_graph,
+    serialize_task_tree,
+    verify_task_tree,
+)
 from foon.cli import main
 
 F1 = str(DATA / "F1.foon")
@@ -174,6 +187,25 @@ def test_search_output_file_round_trips_through_verify(tmp_path, capsys):
         ["verify", F2, str(tree_path), "-k", K2, "-g", "sweet potato{fried}"]
     ) == 0
     assert "valid task tree: 3 functional units" in capsys.readouterr().err
+
+
+def test_search_output_verifies_the_tree_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return verify_task_tree(*args)
+
+    for module in (foon.formats, foon.retrieval):
+        monkeypatch.setattr(module, "verify_task_tree", counting)
+    tree_path = tmp_path / "tree.foon"
+    assert main(["search", F2, "-g", "sweet potato{fried}", "-k", K2, "-o", str(tree_path)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    graph = FoonGraph.from_units(parse_subgraph(fixture_text("F2.foon"), F2))
+    kitchen = parse_kitchen(fixture_text("K2.kitchen"), K2)
+    tree = retrieve_ids(graph, "sweet potato{fried}", kitchen).tree
+    assert tree_path.read_text() == serialize_task_tree(graph, tree, kitchen, algorithm="ids")
 
 
 # --- compare ---

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import strategies
 from conftest import DATA, fixture_text, load_graph
+from helpers import random_textured_graph
 from foon import (
     FoonGraph,
     FunctionalUnit,
@@ -165,6 +166,101 @@ def test_bad_labels_report_their_own_line(parser):
     expect_error(one_block(*head, "S\thot\t{salt,pep]per}"), "ingredient label", line=4,
                  parser=parser)
     expect_error(one_block(*head, "O\tcu}p"), "object name", line=4, parser=parser)
+
+
+# --- intern table ---
+
+
+def _error(parser, text, *table):
+    with pytest.raises(ParseError) as info:
+        parser(text, "test.foon", *table)
+    return info.value.line, info.value.reason
+
+
+_BAD_STATE = "state label 'cl{ean' contains forbidden character(s) '{'"
+
+
+@pytest.mark.parametrize(
+    "parser, text, line",
+    [
+        (parse_subgraph,
+         one_block("O\tbowl", "S\tclean", "M\twash", "O\tbowl", "S\tdry", "//",
+                   "O\tbowl", "S\tcl{ean", "M\twash", "O\tcup", "//"),
+         8),
+        (parse_kitchen, one_block("O\tbowl", "S\tclean", "//", "O\tbowl", "S\tcl{ean"), 5),
+    ],
+)
+def test_repeated_block_with_a_bad_later_state_reports_that_line(parser, text, line):
+    assert _error(parser, text) == (line, _BAD_STATE)
+
+
+@pytest.mark.parametrize("parser", [parse_subgraph, parse_kitchen])
+def test_state_label_reused_as_object_name(parser):
+    if parser is parse_subgraph:
+        unit = parser(one_block("O\tbowl", "S\t Clean", "M\twash", "O\t Clean", "//"))[0]
+        assert (unit.input_keys, unit.output_keys) == (("bowl{clean}",), ("clean",))
+    else:
+        kitchen = parser(one_block("O\tbowl", "S\t Clean", "O\t Clean"))
+        assert kitchen.items == {"bowl{clean}", "clean"}
+    # a rejected label keeps the role of the line that rejects it
+    assert _error(parser, one_block("O\tbowl", "S\tclean", "S\tcl{ean")) == (3, _BAD_STATE)
+    assert _error(parser, one_block("O\tbowl", "S\tclean", "O\tcl{ean")) == (
+        3, "object name 'cl{ean' contains forbidden character(s) '{'")
+
+
+def test_shared_table_survives_a_failed_parse():
+    nodes = {}
+    bad = one_block("O\tBowl", "S\tClean", "M\tWash\t0.5", "O\tbowl", "S\tdry", "//",
+                    "O\tcup", "S\tho,t", "M\tfill", "O\tcup", "S\tfull", "//")
+    reason = "state label 'ho,t' contains forbidden character(s) ','"
+    assert _error(parse_subgraph, bad, nodes) == (8, reason)
+    assert _error(parse_subgraph, bad, nodes) == (8, reason)
+    assert _error(parse_subgraph, one_block("O\tho,t"), nodes) == (
+        1, "object name 'ho,t' contains forbidden character(s) ','")
+    for name in ("F2.foon", "F3.foon"):
+        text = fixture_text(name)
+        assert parse_subgraph(text, name, nodes) == parse_subgraph(text, name)
+    rates = one_block("O\ta", "M\tm\t2", "O\tb", "//")
+    assert _error(parse_subgraph, rates, nodes) == (2, "success rate 2.0 outside [0, 1]")
+
+
+def test_shared_table_keeps_the_spelling_of_zero_rates():
+    nodes = {}
+    parse_subgraph(one_block("O\ta", "M\tm\t0", "O\tb", "//"), "one", nodes)
+    text = one_block("O\tc", "M\tm\t-0.0", "O\td", "//")
+    units = parse_subgraph(text, "two", nodes)
+    assert units == parse_subgraph(text, "two")
+    assert "M\tm\t-0.0" in serialize_graph(FoonGraph.from_units(units))
+
+
+def _interned(units, seen):
+    # equal nodes (and equally spelled motions) parsed through one table are one instance
+    for unit in units:
+        for node in unit.inputs + unit.outputs:
+            fresh = ObjectNode(node.name, node.states, node.ingredients)
+            assert node == fresh and node.key == fresh.key
+            assert seen.setdefault(node.key, node) is node
+        motion = unit.motion
+        assert seen.setdefault((motion.label, repr(motion.success_rate)), motion) is motion
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False), st.randoms(use_true_random=False))
+def test_intern_table_never_changes_the_parse(rng, other_rng):
+    text = serialize_graph(random_textured_graph(rng))
+    other = serialize_graph(random_textured_graph(other_rng))
+    alone = parse_subgraph(text)
+    shared = {}
+    first, second = parse_subgraph(text, "a", shared), parse_subgraph(text, "a", shared)
+    prefilled = {}
+    from_other = parse_subgraph(other, "b", prefilled)
+    after_other = parse_subgraph(text, "a", prefilled)
+    for units in (alone, first, second, after_other):
+        assert units == alone
+        assert serialize_graph(FoonGraph.from_units(units)) == text
+    _interned(alone, {})
+    _interned(first + second, {})
+    _interned(from_other + after_other, {})
 
 
 # the format's record tags and structural characters, plus text that
