@@ -6,7 +6,6 @@ to standard output or to `-o` files.
 """
 
 import argparse
-import itertools
 import re
 import sys
 
@@ -99,11 +98,10 @@ def resolve_goal(spec: str, graph: FoonGraph, kitchen: Kitchen) -> str:
     if match["states"] is not None or match["ings"] is not None:
         return key
     # startswith is a cheap prefilter: a key with this bare name starts with it
-    matches = sorted({
-        candidate
-        for candidate in itertools.chain(graph.node_index, kitchen.items)
+    matches = sorted(set(graph.keys_named(key)).union(
+        candidate for candidate in kitchen.items
         if candidate.startswith(key) and _key_name(candidate) == key
-    })
+    ))
     if len(matches) > 1:
         raise CliError(
             EXIT_USAGE, f"goal name {spec.strip()!r} is ambiguous: " + ", ".join(matches)
@@ -214,8 +212,8 @@ def cmd_export_dot(args) -> int:
 def cmd_stats(args) -> int:
     graph = _load_graph(args.graph)
     labels = {unit.motion.label for unit in graph.units}
-    max_in = max((len(p) for p in graph.producers.values()), default=0)
-    max_out = max((len(c) for c in graph.consumers.values()), default=0)
+    max_in = max(map(len, graph.producers), default=0)
+    max_out = max(map(len, graph.consumers), default=0)
     print(_plural(len(graph.units), "unit"))
     print(_plural(len(graph.nodes), "object node"))
     print(_plural(len(labels), "distinct motion label"))

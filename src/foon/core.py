@@ -147,20 +147,33 @@ class FoonGraph:
     single-writer; after construction the graph is treated as immutable and
     may be shared by concurrent readers.
 
-    The graph caches the depth table of the last kitchen passed to
-    :meth:`min_depths` as one ``(kitchen, table)`` tuple, replaced in a
-    single assignment, so a concurrent reader sees either the old pair or
-    the new one, never a table of one kitchen filed under another.
+    ``producers`` and ``consumers`` are lists indexed by node id; entry
+    ``nid`` lists the ids of the units that output, or take as input, node
+    ``nid``, in insertion order.
+
+    The graph caches answers that depend on it but not on a goal, each
+    built on first use and dropped only by :meth:`add_unit`:
+
+    - the depth table of the last kitchen passed to :meth:`min_depths`, as
+      one ``(kitchen, table)`` tuple;
+    - the bare-name index behind :meth:`keys_named`;
+    - the memo of greedy picks behind :meth:`greedy_picks`.
+
+    Each cache is replaced in a single assignment or holds only entries
+    that every reader computes alike, so a concurrent reader sees an old
+    or a new answer, never a table of one kitchen filed under another.
     """
 
     def __init__(self):
         self.units: list[FunctionalUnit] = []
         self.nodes: list[ObjectNode] = []
         self.node_index: dict[str, int] = {}
-        self.producers: dict[int, list[int]] = {}
-        self.consumers: dict[int, list[int]] = {}
+        self.producers: list[list[int]] = []
+        self.consumers: list[list[int]] = []
         self._unit_index: dict[tuple, int] = {}
         self._depths = None
+        self._names = None
+        self._picks = None
 
     @classmethod
     def from_units(cls, units) -> "FoonGraph":
@@ -175,8 +188,8 @@ class FoonGraph:
             nid = len(self.nodes)
             self.nodes.append(obj)
             self.node_index[obj.key] = nid
-            self.producers[nid] = []
-            self.consumers[nid] = []
+            self.producers.append([])
+            self.consumers.append([])
         return nid
 
     def add_unit(self, unit: FunctionalUnit) -> AddResult:
@@ -198,12 +211,13 @@ class FoonGraph:
                     MotionNode(stored.motion.label, unit.motion.success_rate),
                     stored.outputs,
                 )
+                # h1 reads the rate; depths and names do not
+                self._picks = None
             return AddResult(existing, False)
         uid = len(self.units)
         self.units.append(unit)
         self._unit_index[ident] = uid
-        # a new unit can only shorten depths; a rate bump changes none
-        self._depths = None
+        self._depths = self._names = self._picks = None
         for obj in unit.inputs:
             self.consumers[self._register(obj)].append(uid)
         for obj in unit.outputs:
@@ -223,6 +237,32 @@ class FoonGraph:
         if nid is None:
             return []
         return list(self.consumers[nid])
+
+    def keys_named(self, name: str) -> list:
+        """Keys of the graph's nodes whose bare name is name, in insertion order.
+
+        The name-to-keys index is built on the first call and kept until
+        :meth:`add_unit` appends a unit; callers must not mutate the list.
+        """
+        index = self._names
+        if index is None:
+            index = {}
+            for node in self.nodes:
+                index.setdefault(node.name, []).append(node.key)
+            self._names = index
+        return index.get(name, [])
+
+    def greedy_picks(self, heuristic) -> dict:
+        """The memo of greedy producer picks under heuristic: node id -> unit id.
+
+        :func:`foon.retrieval.retrieve_greedy` fills it; a pick depends on
+        the graph and the heuristic alone. :meth:`add_unit` drops every
+        memo when it appends a unit or raises a success rate.
+        """
+        memo = self._picks
+        if memo is None:
+            memo = self._picks = {}
+        return memo.setdefault(heuristic, {})
 
     def min_depths(self, kitchen: "Kitchen") -> dict:
         """Fewest functional-unit layers that reach each key from the kitchen.
@@ -321,22 +361,39 @@ def verify_task_tree(graph: FoonGraph, tree: TaskTree, kitchen: Kitchen, goal: s
     tree failing coverage reports position 0; a non-empty tree failing it
     reports the position just past the last unit.
     """
-    available = set(kitchen.items)
+    items = kitchen.items
+    violation = tree_unit_violation(graph, tree, set(items))
+    if violation is not None:
+        return violation
+    if tree.unit_ids:
+        if not any(goal in graph.units[uid].output_keys for uid in tree.unit_ids):
+            return TreeViolation(len(tree.unit_ids), f"goal {goal} is never produced")
+    elif goal not in items:
+        return TreeViolation(0, f"goal {goal} not available in kitchen")
+    return None
+
+
+def tree_unit_violation(graph: FoonGraph, tree: TaskTree, available: set | None):
+    """First unit of the tree that breaks, in order; None if none does.
+
+    A unit breaks when its id is unknown to the graph or repeats an earlier
+    one, and, when available is a set of keys, when one of its inputs is
+    not in the set; each unit's outputs then join the set. With available
+    None only these graph-local checks run, which is what a tree already
+    verified against its kitchen needs.
+    """
+    units = graph.units
     seen = set()
     for pos, uid in enumerate(tree.unit_ids):
-        if not isinstance(uid, int) or uid < 0 or uid >= len(graph.units):
+        if not isinstance(uid, int) or uid < 0 or uid >= len(units):
             return TreeViolation(pos, f"unknown unit id {uid!r}")
         if uid in seen:
             return TreeViolation(pos, f"duplicate unit id {uid}")
         seen.add(uid)
-        unit = graph.units[uid]
-        for key in unit.input_keys:
-            if key not in available:
-                return TreeViolation(pos, f"input {key} not available")
-        available.update(unit.output_keys)
-    if tree.unit_ids:
-        if not any(goal in graph.units[uid].output_keys for uid in tree.unit_ids):
-            return TreeViolation(len(tree.unit_ids), f"goal {goal} is never produced")
-    elif goal not in kitchen:
-        return TreeViolation(0, f"goal {goal} not available in kitchen")
+        if available is not None:
+            unit = units[uid]
+            for key in unit.input_keys:
+                if key not in available:
+                    return TreeViolation(pos, f"input {key} not available")
+            available.update(unit.output_keys)
     return None

@@ -22,6 +22,7 @@ from .core import (
     ObjectNode,
     TaskTree,
     normalize_label,
+    tree_unit_violation,
     verify_task_tree,
 )
 
@@ -227,13 +228,23 @@ def _object_lines(obj: ObjectNode) -> list:
     return lines
 
 
+def _object_text(obj: ObjectNode) -> str:
+    """The O/S lines of obj as one string, built once per node.
+
+    The text is kept on the node itself, the way its cached key is, so it
+    lives exactly as long as the node: a node shared by many units, graphs
+    or trees is written from one string, and no table outlives the graph.
+    """
+    text = obj.__dict__.get("_text")
+    if text is None:
+        text = obj.__dict__["_text"] = "\n".join(_object_lines(obj))
+    return text
+
+
 def _unit_lines(unit: FunctionalUnit) -> list:
-    lines = []
-    for obj in unit.inputs:
-        lines.extend(_object_lines(obj))
+    lines = [_object_text(obj) for obj in unit.inputs]
     lines.append(f"M\t{unit.motion.label}\t{unit.motion.success_rate!r}")
-    for obj in unit.outputs:
-        lines.extend(_object_lines(obj))
+    lines.extend(_object_text(obj) for obj in unit.outputs)
     lines.append("//")
     return lines
 
@@ -253,20 +264,14 @@ def serialize_task_tree(graph: FoonGraph, tree: TaskTree, kitchen=None, algorith
     graph-local checks (known ids, no repeats) run. Invalid trees raise
     ValueError carrying the violation.
     """
-    if kitchen is not None:
-        violation = verify_task_tree(graph, tree, kitchen, tree.goal_key)
-        if violation is not None:
-            raise ValueError(
-                f"invalid task tree at unit position {violation.position}: {violation.reason}"
-            )
+    if kitchen is None:
+        violation = tree_unit_violation(graph, tree, None)
     else:
-        seen = set()
-        for pos, uid in enumerate(tree.unit_ids):
-            if not isinstance(uid, int) or not 0 <= uid < len(graph.units):
-                raise ValueError(f"invalid task tree at unit position {pos}: unknown unit id {uid!r}")
-            if uid in seen:
-                raise ValueError(f"invalid task tree at unit position {pos}: duplicate unit id {uid}")
-            seen.add(uid)
+        violation = verify_task_tree(graph, tree, kitchen, tree.goal_key)
+    if violation is not None:
+        raise ValueError(
+            f"invalid task tree at unit position {violation.position}: {violation.reason}"
+        )
     lines = ["# foon task tree"]
     for uid in tree.unit_ids:
         lines.extend(_unit_lines(graph.units[uid]))

@@ -72,12 +72,13 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
         depth_limit = len(graph.units)
     if depth_limit < 0:
         raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
+    items = kitchen.items
     nid = graph.node_index.get(goal)
-    if goal not in kitchen and (nid is None or not graph.producers[nid]):
+    if goal not in items and (nid is None or not graph.producers[nid]):
         return RetrievalResult(None, NO_PRODUCER, 0)
     if not memoize:
         return _literal_ids(graph, goal, kitchen, depth_limit)
-    if goal in kitchen:
+    if goal in items:
         return RetrievalResult(TaskTree((), goal), None, 1)
     depths = graph.min_depths(kitchen)
     bound = depths.get(goal)
@@ -99,7 +100,7 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
             continue
         visited.add(item)
         key, budget = item
-        if key in kitchen:
+        if key in items:
             continue
         below = budget - 1
         for uid in producers[node_index[key]]:
@@ -202,8 +203,13 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
     backtracking) and enqueue its unseen inputs. The collected units are
     reversed, deduplicated, reordered into executable order, and verified;
     a committed choice that cannot execute fails the whole run.
+
+    The pick for a node depends on the graph and the heuristic alone, so
+    it is made once per graph and read back from
+    :meth:`FoonGraph.greedy_picks` for every later goal and kitchen.
     """
-    producers, node_index = graph.producers, graph.node_index
+    producers, node_index, items = graph.producers, graph.node_index, kitchen.items
+    picks = graph.greedy_picks(heuristic)
     queue = deque([goal])
     visited = {goal}
     picked: list = []
@@ -211,13 +217,14 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
     while queue:
         key = queue.popleft()
         expansions += 1
-        if key in kitchen:
+        if key in items:
             continue
         nid = node_index.get(key)
-        candidates = producers[nid] if nid is not None else ()
-        if not candidates:
-            return RetrievalResult(None, NO_PRODUCER, expansions)
-        uid = select_candidate(candidates, graph, heuristic)
+        uid = picks.get(nid)
+        if uid is None:
+            if nid is None or not producers[nid]:
+                return RetrievalResult(None, NO_PRODUCER, expansions)
+            uid = picks[nid] = select_candidate(producers[nid], graph, heuristic)
         picked.append(uid)
         for input_key in graph.units[uid].input_keys:
             if input_key not in visited:

@@ -117,6 +117,20 @@ def random_textured_graph(rng) -> FoonGraph:
     return FoonGraph.from_units(units)
 
 
+def fresh_copy(graph: FoonGraph) -> FoonGraph:
+    """The graph's units rebuilt from new node and motion objects, so that
+    nothing cached on the old graph or its nodes carries over."""
+
+    def copy(nodes):
+        return tuple(ObjectNode(node.name, node.states, node.ingredients) for node in nodes)
+
+    return FoonGraph.from_units(
+        FunctionalUnit(copy(unit.inputs), MotionNode(unit.motion.label, unit.motion.success_rate),
+                       copy(unit.outputs))
+        for unit in graph.units
+    )
+
+
 def rate_jitter(unit: FunctionalUnit, rng) -> FunctionalUnit:
     """Same identity, different success rate."""
     return FunctionalUnit(unit.inputs, MotionNode(unit.motion.label, rng.random()), unit.outputs)

@@ -1,23 +1,28 @@
+import inspect
+import random
 import time
 
 import pytest
 
 from conftest import DATA, fixture_text
 import foon.formats
+import helpers
 import foon.retrieval
 from foon import (
     FoonGraph,
     FunctionalUnit,
+    Kitchen,
     MotionNode,
     ObjectNode,
     parse_kitchen,
     parse_subgraph,
+    retrieve_greedy,
     retrieve_ids,
     serialize_graph,
     serialize_task_tree,
     verify_task_tree,
 )
-from foon.cli import main
+from foon.cli import CliError, main, resolve_goal
 
 F1 = str(DATA / "F1.foon")
 F2 = str(DATA / "F2.foon")
@@ -153,6 +158,51 @@ def test_ambiguous_name_lists_a_key_in_graph_and_kitchen_once(capsys):
     # tray{empty} is both a node of F1 and an item of K1
     assert main(["search", F1, "-g", "tray", "-k", K1]) == 2
     assert capsys.readouterr().err == "goal name 'tray' is ambiguous: tray{empty}, tray{full}\n"
+
+
+def resolution(spec, graph, kitchen):
+    try:
+        return resolve_goal(spec, graph, kitchen)
+    except CliError as exc:
+        return exc.message
+
+
+def test_name_index_sees_a_node_added_after_a_lookup():
+    def bread(state):
+        return ObjectNode("bread", frozenset([state]))
+
+    graph = FoonGraph.from_units(
+        [FunctionalUnit((ObjectNode("dough"),), MotionNode("bake"), (bread("baked"),))]
+    )
+    kitchen = Kitchen(frozenset(["dough"]))
+    assert resolve_goal("bread", graph, kitchen) == "bread{baked}"
+    assert graph.add_unit(
+        FunctionalUnit((bread("baked"),), MotionNode("slice"), (bread("sliced"),))
+    ).added
+    want = "goal name 'bread' is ambiguous: bread{baked}, bread{sliced}"
+    assert resolution("bread", graph, kitchen) == want
+    assert resolution("bread", FoonGraph.from_units(graph.units), kitchen) == want
+
+
+def test_bare_names_resolve_like_a_scan_of_every_key():
+    rng = random.Random(8080)
+    for _ in range(100):
+        graph = helpers.random_textured_graph(rng)
+        kitchen = Kitchen.from_nodes(helpers.random_node(rng) for _ in range(rng.randint(0, 4)))
+        for name in {node.name for node in graph.nodes} | {"absent"}:
+            keys = sorted({key for key in [*graph.node_index, *kitchen.items]
+                           if key.split("{")[0].split("[")[0] == name})
+            if len(keys) > 1:
+                want = f"goal name {name!r} is ambiguous: " + ", ".join(keys)
+            else:
+                want = keys[0] if keys else name
+            assert resolution(name, graph, kitchen) == want
+
+
+def test_goal_resolution_and_greedy_keep_their_signatures():
+    assert list(inspect.signature(resolve_goal).parameters) == ["spec", "graph", "kitchen"]
+    assert list(inspect.signature(retrieve_greedy).parameters) == [
+        "graph", "goal", "kitchen", "heuristic"]
 
 
 def test_search_deep_chain_writes_the_whole_tree(tmp_path, capsys):

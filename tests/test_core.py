@@ -258,3 +258,22 @@ def test_min_depths_matches_the_fixpoint_oracle():
                 if depth != helpers.INF}
         want.update(dict.fromkeys(kitchen.items, 0))
         assert graph.min_depths(kitchen) == want
+
+
+def test_adjacency_lists_are_indexed_by_node_id():
+    graph = chain_graph()
+    assert graph.producers == [graph.producers_of(node.key) for node in graph.nodes]
+    assert graph.consumers == [graph.consumers_of(node.key) for node in graph.nodes]
+    assert graph.producers[graph.node_index["c"]] == [1]
+
+
+def test_keys_named_follows_every_appended_unit():
+    rng = random.Random(4242)
+    for _ in range(100):
+        source = helpers.random_textured_graph(rng)
+        graph = FoonGraph()
+        for unit in source.units:
+            graph.add_unit(unit)
+            for name in {node.name for node in graph.nodes} | {"absent"}:
+                want = [node.key for node in graph.nodes if node.name == name]
+                assert graph.keys_named(name) == want

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 import strategies
 from conftest import DATA, fixture_text, load_graph
-from helpers import random_textured_graph
+import foon.formats
+from helpers import fresh_copy, random_textured_graph
 from foon import (
     FoonGraph,
     FunctionalUnit,
@@ -20,6 +22,7 @@ from foon import (
     parse_subgraph,
     serialize_graph,
     serialize_task_tree,
+    verify_task_tree,
 )
 
 T = "\t"
@@ -405,6 +408,38 @@ def test_serialize_tree_rejects_bad_trees():
     kitchen = Kitchen(frozenset())
     with pytest.raises(ValueError, match="position 0"):
         serialize_task_tree(graph, TaskTree((0, 1, 2), "sweet potato{fried}"), kitchen)
+
+
+def test_graph_local_checks_match_verify_task_tree():
+    graph = load_graph("F2.foon")
+    kitchen = Kitchen(frozenset(graph.node_index))  # every input available
+    rng = random.Random(99)
+    for _ in range(300):
+        ids = tuple(rng.choice([0, 1, 2, 3, -1, "x"]) for _ in range(rng.randint(0, 5)))
+        tree = TaskTree(ids, "sweet potato{fried}")
+        violation = verify_task_tree(graph, tree, kitchen, tree.goal_key)
+        if violation is None or "never produced" in violation.reason:
+            assert serialize_task_tree(graph, tree).startswith("# foon task tree\n")
+            continue
+        with pytest.raises(ValueError) as exc:
+            serialize_task_tree(graph, tree)
+        assert str(exc.value) == (
+            f"invalid task tree at unit position {violation.position}: {violation.reason}")
+
+
+def test_cached_node_text_equals_the_uncached_lines():
+    rng = random.Random(31)
+    for _ in range(200):
+        graph = random_textured_graph(rng)
+        for node in graph.nodes:
+            text = foon.formats._object_text(node)
+            assert text == "\n".join(foon.formats._object_lines(node))
+            assert foon.formats._object_text(node) is text
+        fresh = fresh_copy(graph)
+        assert serialize_graph(graph) == serialize_graph(fresh)
+        tree = TaskTree(tuple(rng.sample(range(len(graph.units)), len(graph.units))), "goal")
+        assert serialize_task_tree(graph, tree, algorithm="h1") == (
+            serialize_task_tree(fresh, tree, algorithm="h1"))
 
 
 # --- DOT export ---

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import foon.retrieval
 import helpers
 from helpers import oracle_enumerate
 from foon import (
@@ -19,6 +20,8 @@ from foon import (
     retrieve_greedy,
     retrieve_ids,
     select_candidate,
+    serialize_graph,
+    serialize_task_tree,
     verify_task_tree,
 )
 
@@ -466,3 +469,62 @@ def test_rate_only_duplicate_keeps_the_answer_and_the_table(f3, k3):
     assert not f3.add_unit(bumped).added
     assert f3.min_depths(k3) is table
     assert retrieve_ids(f3, "goal{done}", k3) == before
+
+
+# --- the greedy memo ---
+
+
+def test_greedy_memo_answers_like_fresh_graphs():
+    rng = random.Random(2718)
+    for _ in range(300):
+        graph, _, first = helpers.random_instance(rng)
+        second = Kitchen(frozenset(k for k in graph.node_index if rng.random() < 0.35))
+        for goal in sorted(graph.node_index):
+            for kitchen in (first, second):
+                for algo, heuristic in (("h1", H1), ("h2", H2)):
+                    fresh = helpers.fresh_copy(graph)
+                    got = retrieve_greedy(graph, goal, kitchen, heuristic)
+                    want = retrieve_greedy(fresh, goal, kitchen, heuristic)
+                    assert (got.tree, got.reason, got.expansions) == (
+                        want.tree, want.reason, want.expansions)
+                    if got.found:
+                        assert serialize_task_tree(graph, got.tree, kitchen, algo) == (
+                            serialize_task_tree(fresh, want.tree, kitchen, algo))
+        assert serialize_graph(graph) == serialize_graph(helpers.fresh_copy(graph))
+
+
+def test_greedy_picks_once_per_node_and_heuristic(f3, k3, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return select_candidate(*args)
+
+    monkeypatch.setattr(foon.retrieval, "select_candidate", counting)
+    first = retrieve_greedy(f3, "goal{done}", k3, H1)
+    assert calls
+    picked = len(calls)
+    assert retrieve_greedy(f3, "goal{done}", k3, H1) == first
+    assert len(calls) == picked
+    retrieve_greedy(f3, "goal{done}", k3, H2)
+    assert len(calls) > picked
+
+
+def test_rate_only_duplicate_moves_the_h1_pick_on_a_queried_graph():
+    graph = rated_graph([0.4, 0.9, 0.6])
+    kitchen = Kitchen(frozenset(["a"]))
+    assert retrieve_greedy(graph, "g", kitchen, H1).tree.unit_ids == (1,)
+    assert not graph.add_unit(simple_unit(["a"], "act2", ["g"], rate=0.95)).added
+    got = retrieve_greedy(graph, "g", kitchen, H1)
+    assert got.tree.unit_ids == (2,)
+    assert got == retrieve_greedy(FoonGraph.from_units(graph.units), "g", kitchen, H1)
+
+
+def test_appended_unit_moves_the_h2_pick_on_a_queried_graph():
+    graph = FoonGraph.from_units([simple_unit(["a", "b"], "two", ["g"])])
+    kitchen = Kitchen(frozenset(["a", "b"]))
+    assert retrieve_greedy(graph, "g", kitchen, H2).tree.unit_ids == (0,)
+    assert graph.add_unit(simple_unit(["a"], "one", ["g"])).added
+    got = retrieve_greedy(graph, "g", kitchen, H2)
+    assert got.tree.unit_ids == (1,)
+    assert got == retrieve_greedy(FoonGraph.from_units(graph.units), "g", kitchen, H2)
