@@ -6,8 +6,7 @@ back; one motion with its surrounding inputs and outputs forms a functional
 unit, the atomic action of the network.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 # Structural characters of the key/goal grammar and the file format.
 # Tab and newline are field/record separators; the rest would make the
@@ -39,6 +38,8 @@ class ObjectNode:
 
     Identity is (name, states, ingredients); two nodes are the same node
     exactly when all three match. States and ingredients are unordered.
+    ``key`` is the canonical identity text, e.g. ``bowl{clean,empty}[salt]``,
+    set once at construction.
     """
 
     name: str
@@ -57,16 +58,12 @@ class ObjectNode:
             "ingredients",
             frozenset(normalize_label(i, "ingredient label") for i in self.ingredients),
         )
-
-    @cached_property
-    def key(self) -> str:
-        """Canonical identity key, e.g. ``bowl{clean,empty}[salt]``."""
         key = self.name
         if self.states:
             key += "{" + ",".join(sorted(self.states)) + "}"
         if self.ingredients:
             key += "[" + ",".join(sorted(self.ingredients)) + "]"
-        return key
+        object.__setattr__(self, "key", key)
 
 
 @dataclass(frozen=True)
@@ -91,9 +88,10 @@ class MotionNode:
 class FunctionalUnit:
     """One atomic action: input object nodes -> motion -> output object nodes.
 
-    Inputs and outputs are non-empty and duplicate-free per side. Duplicate
-    detection uses :meth:`identity`, which ignores input/output ordering and
-    the motion's success rate.
+    Inputs and outputs are non-empty and duplicate-free per side.
+    ``input_keys`` and ``output_keys`` hold each side's node keys in order.
+    Duplicate detection uses :meth:`identity`, which ignores input/output
+    ordering and the motion's success rate.
     """
 
     inputs: tuple
@@ -108,19 +106,11 @@ class FunctionalUnit:
         if not self.outputs:
             raise ValueError("functional unit has no outputs")
         for side, objs in (("input", self.inputs), ("output", self.outputs)):
-            seen = set()
-            for obj in objs:
-                if obj.key in seen:
-                    raise ValueError(f"duplicate {side} node {obj.key}")
-                seen.add(obj.key)
-
-    @cached_property
-    def input_keys(self) -> tuple:
-        return tuple(obj.key for obj in self.inputs)
-
-    @cached_property
-    def output_keys(self) -> tuple:
-        return tuple(obj.key for obj in self.outputs)
+            keys = tuple(obj.key for obj in objs)
+            if len(set(keys)) < len(keys):
+                repeat = next(key for pos, key in enumerate(keys) if key in keys[:pos])
+                raise ValueError(f"duplicate {side} node {repeat}")
+            object.__setattr__(self, side + "_keys", keys)
 
     def identity(self) -> tuple:
         """Dedup key: (sorted input keys, motion label, sorted output keys)."""
@@ -151,12 +141,12 @@ class FoonGraph:
     ``nid`` lists the ids of the units that output, or take as input, node
     ``nid``, in insertion order.
 
-    The graph caches answers that depend on it but not on a goal, each
-    built on first use and dropped only by :meth:`add_unit`:
+    The bare-name index behind :meth:`keys_named` grows with the nodes.
+    Two answers that also depend on a kitchen or a heuristic are cached,
+    each built on first use and reset by :meth:`add_unit`:
 
     - the depth table of the last kitchen passed to :meth:`min_depths`, as
       one ``(kitchen, table)`` tuple;
-    - the bare-name index behind :meth:`keys_named`;
     - the memo of greedy picks behind :meth:`greedy_picks`.
 
     Each cache is replaced in a single assignment or holds only entries
@@ -171,9 +161,9 @@ class FoonGraph:
         self.producers: list[list[int]] = []
         self.consumers: list[list[int]] = []
         self._unit_index: dict[tuple, int] = {}
+        self._names: dict[str, list[str]] = {}
         self._depths = None
-        self._names = None
-        self._picks = None
+        self._picks = {}
 
     @classmethod
     def from_units(cls, units) -> "FoonGraph":
@@ -190,6 +180,7 @@ class FoonGraph:
             self.node_index[obj.key] = nid
             self.producers.append([])
             self.consumers.append([])
+            self._names.setdefault(obj.name, []).append(obj.key)
         return nid
 
     def add_unit(self, unit: FunctionalUnit) -> AddResult:
@@ -211,13 +202,13 @@ class FoonGraph:
                     MotionNode(stored.motion.label, unit.motion.success_rate),
                     stored.outputs,
                 )
-                # h1 reads the rate; depths and names do not
-                self._picks = None
+                # h1 reads the rate; depths do not
+                self._picks = {}
             return AddResult(existing, False)
         uid = len(self.units)
         self.units.append(unit)
         self._unit_index[ident] = uid
-        self._depths = self._names = self._picks = None
+        self._depths, self._picks = None, {}
         for obj in unit.inputs:
             self.consumers[self._register(obj)].append(uid)
         for obj in unit.outputs:
@@ -241,28 +232,19 @@ class FoonGraph:
     def keys_named(self, name: str) -> list:
         """Keys of the graph's nodes whose bare name is name, in insertion order.
 
-        The name-to-keys index is built on the first call and kept until
-        :meth:`add_unit` appends a unit; callers must not mutate the list.
+        The list is the live index entry, which grows as :meth:`add_unit`
+        registers nodes; callers must not mutate it.
         """
-        index = self._names
-        if index is None:
-            index = {}
-            for node in self.nodes:
-                index.setdefault(node.name, []).append(node.key)
-            self._names = index
-        return index.get(name, [])
+        return self._names.get(name, [])
 
     def greedy_picks(self, heuristic) -> dict:
         """The memo of greedy producer picks under heuristic: node id -> unit id.
 
         :func:`foon.retrieval.retrieve_greedy` fills it; a pick depends on
-        the graph and the heuristic alone. :meth:`add_unit` drops every
+        the graph and the heuristic alone. :meth:`add_unit` resets every
         memo when it appends a unit or raises a success rate.
         """
-        memo = self._picks
-        if memo is None:
-            memo = self._picks = {}
-        return memo.setdefault(heuristic, {})
+        return self._picks.setdefault(heuristic, {})
 
     def min_depths(self, kitchen: "Kitchen") -> dict:
         """Fewest functional-unit layers that reach each key from the kitchen.

@@ -231,8 +231,8 @@ def _object_lines(obj: ObjectNode) -> list:
 def _object_text(obj: ObjectNode) -> str:
     """The O/S lines of obj as one string, built once per node.
 
-    The text is kept on the node itself, the way its cached key is, so it
-    lives exactly as long as the node: a node shared by many units, graphs
+    The text is kept on the node itself, beside its key, so it lives
+    exactly as long as the node: a node shared by many units, graphs
     or trees is written from one string, and no table outlives the graph.
     """
     text = obj.__dict__.get("_text")

@@ -64,7 +64,10 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
     producer whose inputs all have depth <= b-1, which is exactly the
     producer the search at that bound commits to. memoize=False runs the
     literal loop instead, the reference whose expansion count the closed
-    form :func:`ids_expansion_formula` predicts; it recurses once per layer.
+    form :func:`ids_expansion_formula` predicts. It is for small graphs
+    only: it recurses once per layer, so it raises RecursionError near
+    1,000 layers, and on an unreachable goal in a cyclic graph its cost is
+    exponential in the depth bound (an 11-unit random graph took 32 s).
 
     depth_limit defaults to the unit count, a trivially sufficient bound.
     """
@@ -201,8 +204,14 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
     Breadth-first over needed object keys: dequeue a key, and if the
     kitchen lacks it, pick ONE producing unit by the heuristic (no
     backtracking) and enqueue its unseen inputs. The collected units are
-    reversed, deduplicated, reordered into executable order, and verified;
-    a committed choice that cannot execute fails the whole run.
+    reversed, deduplicated, and ordered by replaying them from the kitchen;
+    a committed choice that cannot execute fails the whole run with
+    GREEDY_DEAD_END.
+
+    A tree that comes back is valid by construction, so it is not checked
+    again: the replay makes every unit executable, deduplication rules out
+    repeated ids, every pick is a producer of the graph, and the goal's own
+    pick outputs the goal unless the kitchen already holds it.
 
     The pick for a node depends on the graph and the heuristic alone, so
     it is made once per graph and read back from
@@ -234,10 +243,7 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
     ordered = _first_fit_order(graph, list(dict.fromkeys(picked)), kitchen)
     if ordered is None:
         return RetrievalResult(None, GREEDY_DEAD_END, expansions)
-    tree = TaskTree(tuple(ordered), goal)
-    if verify_task_tree(graph, tree, kitchen, goal) is not None:
-        return RetrievalResult(None, GREEDY_DEAD_END, expansions)
-    return RetrievalResult(tree, None, expansions)
+    return RetrievalResult(TaskTree(tuple(ordered), goal), None, expansions)
 
 
 def ids_expansion_formula(b: int, d: int) -> int:

@@ -15,6 +15,8 @@ from foon import (
     TaskTree,
     merge,
     normalize_label,
+    parse_subgraph,
+    serialize_graph,
     verify_task_tree,
 )
 
@@ -125,6 +127,67 @@ def test_identity_ignores_order_and_rate():
     assert u1.identity() == u2.identity()
     u3 = FunctionalUnit((stateless("a"),), MotionNode("mix", 0.3), (stateless("c"),))
     assert u1.identity() != u3.identity()
+
+
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_unit_names_the_first_key_that_repeats(side):
+    # b{hot} repeats at position 2, before a repeats at position 3
+    repeated = (stateless("a"), ObjectNode("b", {"hot"}), ObjectNode(" B ", {"HOT"}),
+                stateless("A"))
+    clean = (stateless("c"),)
+    inputs, outputs = (repeated, clean) if side == "input" else (clean, repeated)
+    with pytest.raises(ValueError) as err:
+        FunctionalUnit(inputs, MotionNode("mix"), outputs)
+    assert str(err.value) == f"duplicate {side} node b{{hot}}"
+
+
+def test_input_repeats_are_reported_before_output_repeats():
+    with pytest.raises(ValueError) as err:
+        FunctionalUnit((stateless("x"), stateless("x")), MotionNode("mix"),
+                       (stateless("y"), stateless("y")))
+    assert str(err.value) == "duplicate input node x"
+
+
+def spelled_key(node):
+    key = node.name
+    if node.states:
+        key += "{" + ",".join(sorted(node.states)) + "}"
+    if node.ingredients:
+        key += "[" + ",".join(sorted(node.ingredients)) + "]"
+    return key
+
+
+def assert_keys_follow_nodes(unit):
+    for nodes, keys in ((unit.inputs, unit.input_keys), (unit.outputs, unit.output_keys)):
+        assert keys == tuple(spelled_key(node) for node in nodes)
+        assert keys == tuple(node.key for node in nodes)
+
+
+def test_unit_keys_equal_the_node_keys_in_order():
+    hand = FunctionalUnit(
+        (ObjectNode("Bowl", {"empty", "clean"}, {"salt"}), stateless("b")),
+        MotionNode("mix", 0.5),
+        (ObjectNode("bowl", (), {"salt", "pepper"}),),
+    )
+    assert hand.input_keys == ("bowl{clean,empty}[salt]", "b")
+    assert hand.output_keys == ("bowl[pepper,salt]",)
+    assert_keys_follow_nodes(hand)
+    rng = random.Random(8080)
+    for _ in range(50):
+        source = helpers.random_textured_graph(rng)
+        for unit in source.units + parse_subgraph(serialize_graph(source)):
+            assert_keys_follow_nodes(unit)
+
+
+def test_rate_bump_replacement_keeps_the_stored_key_order():
+    stored = simple_unit(["a", "b"], "mix", ["c", "d"], rate=0.5)
+    graph = FoonGraph.from_units([stored])
+    bump = simple_unit(["b", "a"], "mix", ["d", "c"], rate=0.9)
+    assert not graph.add_unit(bump).added
+    replaced = graph.units[0]
+    assert replaced is not stored and replaced.motion.success_rate == 0.9
+    assert (replaced.input_keys, replaced.output_keys) == (("a", "b"), ("c", "d"))
+    assert_keys_follow_nodes(replaced)
 
 
 # --- graph construction ---

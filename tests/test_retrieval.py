@@ -404,6 +404,29 @@ def test_default_ids_depth_matches_fixpoint_oracle_at_scale(n_units):
         assert retrieve_ids(graph, goal, kitchen).reason == DEPTH_LIMIT_EXHAUSTED
 
 
+@pytest.mark.parametrize("n_units", [1000, 10000])
+def test_greedy_trees_verify_and_are_never_shallower_than_ids_at_scale(n_units):
+    rng = random.Random(n_units)
+    graph, kitchen = helpers.random_scale_instance(rng, n_units)
+    depths = helpers.min_layer_depths(graph, kitchen)
+    keys = sorted(graph.node_index)
+    reachable = [k for k in keys if depths[k] != helpers.INF]
+    unreachable = [k for k in keys if depths[k] == helpers.INF and graph.producers_of(k)]
+    assert unreachable
+    found = 0
+    for goal in rng.sample(reachable, 40) + unreachable:
+        ids = retrieve_ids(graph, goal, kitchen)
+        for heuristic in (H1, H2):
+            greedy = retrieve_greedy(graph, goal, kitchen, heuristic)
+            if greedy.found:
+                found += 1
+                assert verify_task_tree(graph, greedy.tree, kitchen, goal) is None
+                assert ids.found  # so a goal IDS cannot reach fails greedy too
+                assert helpers.tree_goal_depth(graph, ids.tree, kitchen) <= (
+                    helpers.tree_goal_depth(graph, greedy.tree, kitchen))
+    assert found
+
+
 def timed_ids(graph, goal, kitchen):
     start = time.perf_counter()
     result = retrieve_ids(graph, goal, kitchen)
@@ -508,6 +531,23 @@ def test_greedy_picks_once_per_node_and_heuristic(f3, k3, monkeypatch):
     assert len(calls) == picked
     retrieve_greedy(f3, "goal{done}", k3, H2)
     assert len(calls) > picked
+
+
+def test_greedy_returns_its_tree_without_a_tree_check(f3, k3, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return verify_task_tree(*args)
+
+    monkeypatch.setattr(foon.retrieval, "verify_task_tree", counting)
+    for goal in ("goal{done}", *sorted(k3.items)[:1]):
+        for heuristic in (H1, H2):
+            assert retrieve_greedy(f3, goal, k3, heuristic).found
+    assert calls == []
+    # the wrapper is live: IDS still checks its rebuilt tree once
+    assert retrieve_ids(f3, "goal{done}", k3).found
+    assert len(calls) == 1
 
 
 def test_rate_only_duplicate_moves_the_h1_pick_on_a_queried_graph():
