@@ -1,8 +1,9 @@
 """Command-line front end: merge corpora, search, compare, export, verify.
 
 Exit codes are stable: 0 success, 1 search found no tree, 2 usage or parse
-error, 3 verification failure. Diagnostics go to standard error; data goes
-to standard output or to `-o` files.
+error, 3 verification failure, 4 internal error (any other exception, reported
+as one line). Diagnostics go to standard error; data goes to standard output
+or to `-o` files.
 """
 
 import argparse
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_NOT_FOUND = 1
 EXIT_USAGE = 2
 EXIT_INVALID_TREE = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -73,10 +75,6 @@ _GOAL_RE = re.compile(
 )
 
 
-def _key_name(key: str) -> str:
-    return key.split("{", 1)[0].split("[", 1)[0]
-
-
 def resolve_goal(spec: str, graph: FoonGraph, kitchen: Kitchen) -> str:
     """Turn a goal spec into an identity key.
 
@@ -97,10 +95,11 @@ def resolve_goal(spec: str, graph: FoonGraph, kitchen: Kitchen) -> str:
         raise CliError(EXIT_USAGE, f"bad goal spec {spec!r}: {exc}") from None
     if match["states"] is not None or match["ings"] is not None:
         return key
-    # startswith is a cheap prefilter: a key with this bare name starts with it
+    # names hold no { or [, so a key has bare name `key` exactly when it is
+    # `key` or continues with { or [
     matches = sorted(set(graph.keys_named(key)).union(
         candidate for candidate in kitchen.items
-        if candidate.startswith(key) and _key_name(candidate) == key
+        if candidate == key or candidate.startswith((key + "{", key + "["))
     ))
     if len(matches) > 1:
         raise CliError(
@@ -310,12 +309,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:  # a bug, not a usage error: one line, no traceback
+        print(f"foon: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -288,11 +288,7 @@ class FoonGraph:
 
 def merge(graphs) -> FoonGraph:
     """Union of all units across graphs, deduplicated, first-occurrence order."""
-    merged = FoonGraph()
-    for graph in graphs:
-        for unit in graph.units:
-            merged.add_unit(unit)
-    return merged
+    return FoonGraph.from_units(unit for graph in graphs for unit in graph.units)
 
 
 @dataclass(frozen=True)

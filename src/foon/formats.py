@@ -101,12 +101,11 @@ def _records(text: str, source: str, nodes: dict):
             if len(fields) == 3:
                 ingredients.update(_parse_ingredients(fields[2], nodes, source, line_no))
             state = fields[1]
+            # blank only beside an ingredient set: the stripped record ends in it
             if state.strip():
                 states.append(
                     nodes.get(state) or _normalized(state, "state label", nodes, source, line_no)
                 )
-            elif len(fields) == 2:
-                raise ParseError(source, line_no, "empty state label")
             last_line = line_no
             continue
         if name is not None:

@@ -10,6 +10,7 @@ solvable one layer down. Depth counts functional-unit layers.
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .core import FoonGraph, Kitchen, TaskTree, verify_task_tree
 
@@ -130,19 +131,11 @@ def _literal_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit: int
         if budget == 0:
             return None
         for uid in graph.producers[graph.node_index[key]]:
-            collected = []
-            satisfiable = True
-            for input_key in graph.units[uid].input_keys:
-                sub = solve(input_key, budget - 1)
-                if sub is None:
-                    # keep resolving the remaining inputs; the search
-                    # visits every child of a failed unit
-                    satisfiable = False
-                elif satisfiable:
-                    collected.extend(sub)
-            if satisfiable:
-                collected.append(uid)
-                return tuple(collected)
+            # every input is resolved, even after one fails: the search
+            # visits every child of a failed unit
+            subs = [solve(k, budget - 1) for k in graph.units[uid].input_keys]
+            if None not in subs:
+                return tuple(chain.from_iterable(subs)) + (uid,)
         return None
 
     for d in range(depth_limit + 1):

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from conftest import DATA, fixture_text
+import foon.cli
 import foon.formats
 import helpers
 import foon.retrieval
@@ -14,6 +15,7 @@ from foon import (
     Kitchen,
     MotionNode,
     ObjectNode,
+    ParseError,
     parse_kitchen,
     parse_subgraph,
     retrieve_greedy,
@@ -199,6 +201,17 @@ def test_bare_names_resolve_like_a_scan_of_every_key():
             assert resolution(name, graph, kitchen) == want
 
 
+def test_kitchen_names_that_only_start_with_the_goal_name_do_not_match():
+    graph = FoonGraph.from_units(
+        [FunctionalUnit((ObjectNode("water"),), MotionNode("freeze"),
+                        (ObjectNode("ice", frozenset(["solid"])),))]
+    )
+    kitchen = Kitchen(frozenset(["icebox", "ice cream{soft}", "ice tray[ice]", "water"]))
+    assert resolve_goal("ice", graph, kitchen) == "ice{solid}"
+    assert resolution("ice", graph, Kitchen(kitchen.items | {"ice[salt]"})) == (
+        "goal name 'ice' is ambiguous: ice[salt], ice{solid}")
+
+
 def test_goal_resolution_and_greedy_keep_their_signatures():
     assert list(inspect.signature(resolve_goal).parameters) == ["spec", "graph", "kitchen"]
     assert list(inspect.signature(retrieve_greedy).parameters) == [
@@ -258,6 +271,39 @@ def test_search_output_verifies_the_tree_once(tmp_path, capsys, monkeypatch):
     assert tree_path.read_text() == serialize_task_tree(graph, tree, kitchen, algorithm="ids")
 
 
+def test_search_goal_name_with_a_forbidden_character_is_usage_error(capsys):
+    # the spec passes the goal pattern; the node constructor rejects it
+    assert main(["search", F1, "-g", "salt,pepper", "-k", K1]) == 2
+    assert capsys.readouterr().err == (
+        "bad goal spec 'salt,pepper': object name 'salt,pepper' contains forbidden "
+        "character(s) ','\n"
+    )
+
+
+def test_search_output_to_a_directory_is_usage_error(tmp_path, capsys):
+    assert main(["search", F1, "-g", "ice{solid}", "-k", K1, "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot write {tmp_path}: ")
+
+
+@pytest.mark.parametrize("error", [RuntimeError("rebuild lost its way"), MemoryError()])
+def test_unexpected_exception_is_one_line_with_exit_four(monkeypatch, capsys, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(foon.cli, "retrieve_ids", broken)
+    assert main(["search", F1, "-g", "ice{solid}", "-k", K1]) == 4
+    assert capsys.readouterr().err == f"foon: internal error: {type(error).__name__}: {error}\n"
+
+
+def test_parse_error_from_an_engine_stays_a_usage_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ParseError("tree.foon", 7, "unit has no outputs")
+
+    monkeypatch.setattr(foon.cli, "retrieve_ids", broken)
+    assert main(["search", F1, "-g", "ice{solid}", "-k", K1]) == 2
+    assert capsys.readouterr().err == "tree.foon:7: unit has no outputs\n"
+
+
 # --- compare ---
 
 
@@ -315,6 +361,20 @@ def test_compare_unreachable_goal_with_producers_is_prompt(tmp_path, capsys):
     row = capsys.readouterr().out.splitlines()[1]
     assert row.split() == ["dish", "-", "-", "-"]
     assert elapsed < 2.0, f"compare took {elapsed:.3f}s"
+
+
+def test_compare_skips_malformed_and_ambiguous_goals(tmp_path, capsys):
+    goals = tmp_path / "goals.txt"
+    goals.write_text("a{b\ntray\nice{solid}\n", encoding="utf-8")
+    csv_path = tmp_path / "table.csv"
+    assert main(["compare", F1, "-k", K1, "--goals", str(goals), "--csv", str(csv_path)]) == 0
+    captured = capsys.readouterr()
+    assert "skipping goal 'a{b': bad goal spec 'a{b'" in captured.err
+    assert "skipping goal 'tray': goal name 'tray' is ambiguous" in captured.err
+    rows = [line.split() for line in captured.out.splitlines()[1:]]
+    assert rows == [["a{b", "-", "-", "-"], ["tray", "-", "-", "-"], ["ice{solid}", "1", "1", "1"]]
+    assert csv_path.read_text(encoding="utf-8").splitlines()[1:] == [
+        "a{b,,,", "tray,,,", "ice{solid},1,1,1"]
 
 
 def test_compare_empty_goals_file_prints_header_only(tmp_path, capsys):

@@ -147,6 +147,26 @@ def test_empty_state_without_ingredients_is_an_error():
     expect_error(one_block("O\ta", "S\t ", "M\tm", "O\tb", "//"), "S line must be", line=2)
 
 
+@pytest.mark.parametrize("parser", [parse_subgraph, parse_kitchen])
+@pytest.mark.parametrize("blank", ["S\t   ", "S\t\x1c", "S\t\t"])
+def test_blank_state_lines_collapse_to_one_field(parser, blank):
+    # str.strip and str.split share one whitespace set, so a blank state
+    # with no ingredient field is always a one-field S line
+    expect_error(one_block("O\ta", "S\tx", blank, "M\tm", "O\tb", "//"),
+                 "S line must be 'S<TAB>state' or", line=3, parser=parser)
+
+
+def test_blank_state_beside_ingredients_is_an_ingredients_only_line():
+    text = one_block("O\ta", "S\t \t{salt}", "M\tm", "O\tb", "//")
+    assert parse_subgraph(text)[0].input_keys == ("a[salt]",)
+    assert parse_kitchen(one_block("O\ta", "S\t \t{salt}")).items == {"a[salt]"}
+
+
+@pytest.mark.parametrize("motion", ["M", "M\tm\t0.5\textra"])
+def test_motion_lines_need_two_or_three_fields(motion):
+    expect_error(one_block("O\ta", motion, "O\tb", "//"), "M line must be", line=2)
+
+
 def test_duplicate_input_keys_reported_at_block_end():
     text = one_block("O\ta", "S\tx", "O\ta", "S\tx", "M\tm", "O\tb", "//")
     expect_error(text, "duplicate input node", line=7)

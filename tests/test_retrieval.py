@@ -317,6 +317,37 @@ def test_measured_expansions_match_formula_binary_depth_two():
     assert result.expansions == 11
 
 
+def stacked_diamonds(layers):
+    units = []
+    for i in range(layers):
+        units += [
+            simple_unit([f"top {i}"], f"left {i}", [f"left {i}"]),
+            simple_unit([f"top {i}"], f"right {i}", [f"right {i}"]),
+            simple_unit([f"left {i}", f"right {i}"], f"join {i}", [f"top {i + 1}"]),
+        ]
+    return FoonGraph.from_units(units)
+
+
+def literal(graph, goal, kitchen, depth_limit=None):
+    result = retrieve_ids(graph, goal, kitchen, depth_limit=depth_limit, memoize=False)
+    return (result.tree.unit_ids if result.found else None), result.reason, result.expansions
+
+
+def test_literal_loop_counts_on_cycles_failures_and_shared_subtrees(cyclic, empty_kitchen,
+                                                                    f3, k3):
+    # the literal loop re-solves a shared key once per path that reaches it,
+    # so a memo of (key, budget) within one bound would lower these counts
+    for limit, count in enumerate((1, 3, 6, 10, 15, 21)):
+        assert literal(cyclic, "widget{cursed}", empty_kitchen, limit) == (
+            None, DEPTH_LIMIT_EXHAUSTED, count)
+    # assemble fails one layer down, then snap succeeds
+    assert literal(f3, "goal{done}", k3) == ((5,), None, 6)
+    diamonds = stacked_diamonds(6)
+    assert literal(diamonds, "top 6", Kitchen(frozenset(["top 0"]))) == (
+        tuple(range(18)), None, 847)
+    assert literal(diamonds, "top 6", Kitchen()) == (None, DEPTH_LIMIT_EXHAUSTED, 2365)
+
+
 # --- cross-algorithm properties on random instances ---
 
 
