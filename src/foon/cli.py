@@ -10,7 +10,7 @@ import argparse
 import re
 import sys
 
-from .core import FoonGraph, Kitchen, ObjectNode, TaskTree, merge, verify_task_tree
+from .core import FoonGraph, Kitchen, ObjectNode, TaskTree, verify_task_tree
 from .formats import (
     ParseError,
     export_dot,
@@ -118,16 +118,11 @@ def _run_algorithm(algo: str, graph, goal: str, kitchen, max_depth=None):
 
 
 def cmd_merge(args) -> int:
-    units = []
-    parsed = 0
     nodes = {}  # one intern table for every file of the merge
-    for path in args.inputs:
-        file_units = parse_subgraph(_read(path), path, nodes)
-        parsed += len(file_units)
-        units.extend(file_units)
+    units = [unit for path in args.inputs for unit in parse_subgraph(_read(path), path, nodes)]
     graph = FoonGraph.from_units(units)
     _write(args.output, serialize_graph(graph))
-    removed = parsed - len(graph.units)
+    removed = len(units) - len(graph.units)
     print(
         f"{_plural(len(graph.units), 'unit')}, "
         f"{_plural(len(graph.nodes), 'object node')}, "

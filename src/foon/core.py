@@ -318,9 +318,6 @@ class TaskTree:
     def __post_init__(self):
         object.__setattr__(self, "unit_ids", tuple(self.unit_ids))
 
-    def __len__(self) -> int:
-        return len(self.unit_ids)
-
 
 @dataclass(frozen=True)
 class TreeViolation:

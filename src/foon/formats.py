@@ -163,10 +163,10 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
     inputs: list = []
     outputs: list = []
     motion = None
-    last_record_line = None
     for line_no, tag, value in _records(text, source, nodes):
         if tag == "//":
-            if last_record_line is None:
+            # an M line needs inputs, so a unit without inputs has no records
+            if not inputs:
                 raise ParseError(source, line_no, "empty functional unit")
             if motion is None:
                 raise ParseError(source, line_no, "unit has no motion line")
@@ -176,7 +176,7 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
                 units.append(FunctionalUnit(tuple(inputs), motion, tuple(outputs)))
             except ValueError as exc:
                 raise ParseError(source, line_no, str(exc)) from None
-            inputs, outputs, motion, last_record_line = [], [], None, None
+            inputs, outputs, motion = [], [], None
             continue
         if tag == "O":
             (outputs if motion is not None else inputs).append(value)
@@ -190,10 +190,9 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
             motion = nodes.get(key)
             if motion is None:
                 motion = nodes[key] = _motion(value, nodes, source, line_no)
-        last_record_line = line_no
 
-    if last_record_line is not None:
-        raise ParseError(source, last_record_line, "unterminated unit (missing //)")
+    if inputs:
+        raise ParseError(source, line_no, "unterminated unit (missing //)")
     return units
 
 

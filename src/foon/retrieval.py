@@ -82,15 +82,12 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
         return RetrievalResult(None, NO_PRODUCER, 0)
     if not memoize:
         return _literal_ids(graph, goal, kitchen, depth_limit)
-    if goal in items:
-        return RetrievalResult(TaskTree((), goal), None, 1)
     depths = graph.min_depths(kitchen)
     bound = depths.get(goal)
     if bound is None or bound > depth_limit:
         return RetrievalResult(None, DEPTH_LIMIT_EXHAUSTED, 0)
 
     producers, node_index, units = graph.producers, graph.node_index, graph.units
-    unreached = bound + 1  # stands in for the depth of keys absent from the table
     emitted = {}
     visited = set()
     # an int entry emits that unit; a (key, budget) pair resolves that key
@@ -106,15 +103,15 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
         key, budget = item
         if key in items:
             continue
-        below = budget - 1
         for uid in producers[node_index[key]]:
             inputs = units[uid].input_keys
-            if all(depths.get(k, unreached) <= below for k in inputs):
+            # a key absent from the table gets the budget itself, which never fits
+            if all(depths.get(k, budget) < budget for k in inputs):
                 break
         else:
             raise RuntimeError(f"depth table has no producer for {key} at budget {budget}")
         stack.append(uid)
-        stack.extend((k, below) for k in reversed(inputs))
+        stack.extend((k, budget - 1) for k in reversed(inputs))
     return _verified(graph, TaskTree(tuple(emitted), goal), kitchen, len(visited))
 
 

@@ -2,7 +2,17 @@
 
 import itertools
 
-from foon import FoonGraph, FunctionalUnit, Kitchen, MotionNode, ObjectNode, TaskTree
+from foon import (
+    GREEDY_DEAD_END,
+    NO_PRODUCER,
+    FoonGraph,
+    FunctionalUnit,
+    HeuristicKind,
+    Kitchen,
+    MotionNode,
+    ObjectNode,
+    TaskTree,
+)
 
 _NAMES = ["bowl", "salt", "onion", "tomato", "pan", "cup", "dough", "butter", "pot", "lid"]
 _STATES = ["clean", "dirty", "empty", "full", "whole", "diced", "hot", "cold", "mixed"]
@@ -186,6 +196,41 @@ def _first_fit_order(graph: FoonGraph, unit_ids, kitchen: Kitchen):
         else:
             return None
     return ordered
+
+
+def greedy_oracle(graph: FoonGraph, goal: str, kitchen: Kitchen, heuristic) -> tuple:
+    """Greedy retrieval from scratch: (unit ids or None, reason or None, dequeues).
+
+    Breadth-first from the goal; each dequeued key the kitchen lacks takes
+    one producer, the highest rate under MAX_SUCCESS_RATE or the fewest
+    inputs under MIN_INPUT_COUNT, the earliest in insertion order winning
+    ties, and queues that unit's inputs not seen before. The picks are
+    reversed, deduplicated and put in first-fit order.
+    """
+    def score(uid):
+        unit = graph.units[uid]
+        if heuristic is HeuristicKind.MAX_SUCCESS_RATE:
+            return -unit.motion.success_rate
+        return len(unit.inputs)
+
+    queue = [goal]
+    picks = []
+    for dequeued, key in enumerate(queue, start=1):  # the list grows as it is walked
+        if key in kitchen.items:
+            continue
+        candidates = graph.producers_of(key)
+        if not candidates:
+            return None, NO_PRODUCER, dequeued
+        best = min(score(uid) for uid in candidates)
+        uid = next(uid for uid in candidates if score(uid) == best)
+        picks.append(uid)
+        for input_key in graph.units[uid].input_keys:
+            if input_key not in queue:
+                queue.append(input_key)
+    ordered = _first_fit_order(graph, list(dict.fromkeys(reversed(picks))), kitchen)
+    if ordered is None:
+        return None, GREEDY_DEAD_END, len(queue)
+    return tuple(ordered), None, len(queue)
 
 
 def oracle_enumerate(graph: FoonGraph, goal: str, kitchen: Kitchen, max_units: int) -> list:

@@ -212,6 +212,11 @@ def test_kitchen_names_that_only_start_with_the_goal_name_do_not_match():
         "goal name 'ice' is ambiguous: ice[salt], ice{solid}")
 
 
+def test_a_goal_spec_with_states_never_widens_to_a_longer_key():
+    kitchen = Kitchen(frozenset(["ice{solid}[salt]"]))
+    assert resolve_goal("ice{solid}", FoonGraph(), kitchen) == "ice{solid}"
+
+
 def test_goal_resolution_and_greedy_keep_their_signatures():
     assert list(inspect.signature(resolve_goal).parameters) == ["spec", "graph", "kitchen"]
     assert list(inspect.signature(retrieve_greedy).parameters) == [
@@ -431,6 +436,13 @@ def test_verify_rejects_reordered_tree(tmp_path, capsys):
 def test_verify_rejects_units_missing_from_graph(tmp_path, capsys):
     assert main(["verify", F1, F2, "-k", K1, "-g", "ice{solid}"]) == 3
     assert "position 0" in capsys.readouterr().err
+
+
+def test_verify_names_the_first_tree_unit_missing_from_the_graph(tmp_path, capsys):
+    tree_path = tmp_path / "tree.foon"
+    tree_path.write_text(fixture_text("F1.foon") + fixture_text("F2.foon"), encoding="utf-8")
+    assert main(["verify", F1, str(tree_path), "-k", K1, "-g", "ice{solid}"]) == 3
+    assert capsys.readouterr().err == "tree unit at position 1 is not in the graph\n"
 
 
 def test_verify_accepts_empty_tree_for_kitchen_goal(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import foon
 import helpers
 import strategies
 from foon import (
@@ -44,6 +47,11 @@ def test_normalize_trims_lowers_and_collapses():
 def test_normalize_rejects_structural_characters(bad):
     with pytest.raises(ValueError):
         normalize_label(bad)
+
+
+def test_normalize_rejects_non_strings():
+    with pytest.raises(ValueError, match="object name must be a string, got int"):
+        normalize_label(3, "object name")
 
 
 def test_normalize_collapses_tabs_and_newlines_like_spaces():
@@ -89,7 +97,7 @@ def test_motion_rate_defaults_to_one():
     assert MotionNode("chop").success_rate == 1.0
 
 
-@pytest.mark.parametrize("rate", [-0.1, 1.1, math.nan, math.inf, "high"])
+@pytest.mark.parametrize("rate", [-0.1, 1.1, math.nan, math.inf, "high", True, "0.5"])
 def test_motion_rejects_bad_rates(rate):
     with pytest.raises(ValueError):
         MotionNode("chop", rate)
@@ -98,6 +106,11 @@ def test_motion_rejects_bad_rates(rate):
 def test_motion_accepts_boundary_rates():
     assert MotionNode("chop", 0).success_rate == 0.0
     assert MotionNode("chop", 1).success_rate == 1.0
+
+
+def test_motion_stores_an_integer_rate_as_a_float():
+    rate = MotionNode("chop", 1).success_rate
+    assert type(rate) is float and rate == 1.0
 
 
 # --- functional units ---
@@ -323,6 +336,22 @@ def test_min_depths_matches_the_fixpoint_oracle():
         assert graph.min_depths(kitchen) == want
 
 
+def test_lookups_of_an_unknown_key_are_empty():
+    graph = chain_graph()
+    assert graph.producers_of("nowhere") == [] and graph.consumers_of("nowhere") == []
+
+
+def test_constructors_store_lists_as_hashable_tuples_and_sets():
+    unit = FunctionalUnit([stateless("a")], MotionNode("mix"), [stateless("b")])
+    kitchen = Kitchen(["a", "a"])
+    tree = TaskTree([0], "b")
+    assert type(unit.inputs) is tuple and unit.inputs == (stateless("a"),)
+    assert type(unit.outputs) is tuple and unit.outputs == (stateless("b"),)
+    assert type(kitchen.items) is frozenset and kitchen.items == {"a"}
+    assert type(tree.unit_ids) is tuple and tree.unit_ids == (0,)
+    assert len({unit, kitchen, tree}) == 3
+
+
 def test_adjacency_lists_are_indexed_by_node_id():
     graph = chain_graph()
     assert graph.producers == [graph.producers_of(node.key) for node in graph.nodes]
@@ -340,3 +369,19 @@ def test_keys_named_follows_every_appended_unit():
             for name in {node.name for node in graph.nodes} | {"absent"}:
                 want = [node.key for node in graph.nodes if node.name == name]
                 assert graph.keys_named(name) == want
+
+
+# --- package ---
+
+
+def test_package_version_is_the_project_version():
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert foon.__version__ == re.search(r'^version = "(.+)"$', pyproject, re.M)[1]
+
+
+def test_star_import_gives_exactly_the_public_names():
+    namespace = {}
+    exec("from foon import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(foon.__all__)
+    assert {"core", "formats", "retrieval"}.isdisjoint(namespace)

@@ -110,6 +110,10 @@ def test_unit_without_outputs_is_an_error():
     expect_error(one_block("O\twater", "M\tfreeze", "//"), "unit has no outputs", line=3)
 
 
+def test_unit_without_outputs_is_caught_by_the_parser_not_the_unit():
+    assert _error(parse_subgraph, one_block("O\ta", "M\tx", "//")) == (3, "unit has no outputs")
+
+
 def test_state_without_object_is_an_error():
     expect_error(one_block("S\tliquid", "O\tx", "M\tm", "O\ty", "//"), "without a preceding O", line=1)
 
@@ -245,6 +249,20 @@ def test_shared_table_survives_a_failed_parse():
         assert parse_subgraph(text, name, nodes) == parse_subgraph(text, name)
     rates = one_block("O\ta", "M\tm\t2", "O\tb", "//")
     assert _error(parse_subgraph, rates, nodes) == (2, "success rate 2.0 outside [0, 1]")
+
+
+def test_a_second_parse_through_one_table_normalizes_no_label(monkeypatch):
+    calls = []
+    normalize = foon.formats.normalize_label
+    monkeypatch.setattr(foon.formats, "normalize_label",
+                        lambda *args: calls.append(args) or normalize(*args))
+    text = fixture_text("F3.foon")
+    nodes = {}
+    first = parse_subgraph(text, "F3.foon", nodes)
+    assert calls
+    calls.clear()
+    assert parse_subgraph(text, "F3.foon", nodes) == first
+    assert calls == []
 
 
 def test_shared_table_keeps_the_spelling_of_zero_rates():
@@ -487,6 +505,17 @@ def test_export_dot_one_vertex_per_motion_occurrence():
     )
     text = export_dot(graph)
     assert "m0 [" in text and "m1 [" in text
+
+
+def test_export_dot_labels_states_ingredients_and_rate():
+    bowl = ObjectNode("bowl", frozenset(["full", "cold"]), frozenset(["salt", "egg"]))
+    graph = FoonGraph.from_units(
+        [FunctionalUnit((bowl,), MotionNode("mix", 0.5), (ObjectNode("out"),))]
+    )
+    lines = export_dot(graph).splitlines()
+    assert '  o0 [shape=circle, fillcolor=green, label="bowl\\n(cold, full)\\n[egg, salt]"];' in lines
+    assert '  o1 [shape=circle, fillcolor=green, label="out"];' in lines
+    assert '  m0 [shape=square, fillcolor=red, label="mix\\n0.5"];' in lines
 
 
 def test_export_dot_escapes_quotes_and_backslashes():

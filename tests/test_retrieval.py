@@ -16,6 +16,8 @@ from foon import (
     Kitchen,
     MotionNode,
     ObjectNode,
+    RetrievalResult,
+    TaskTree,
     ids_expansion_formula,
     retrieve_greedy,
     retrieve_ids,
@@ -202,6 +204,35 @@ def test_greedy_cyclic_graphs_dead_end(cyclic, empty_kitchen):
             assert result.reason == GREEDY_DEAD_END
 
 
+def answer(result):
+    return (result.tree.unit_ids if result.found else None), result.reason, result.expansions
+
+
+def test_greedy_lists_picks_deepest_first_where_ids_lists_them_in_input_order():
+    # first fit keeps the reversed pick order whenever it can execute
+    graph = FoonGraph.from_units(
+        [
+            simple_unit(["x", "y"], "join", ["g"]),
+            simple_unit(["k"], "make x", ["x"]),
+            simple_unit(["k"], "make y", ["y"]),
+        ]
+    )
+    kitchen = Kitchen(frozenset(["k"]))
+    for heuristic in (H1, H2):
+        assert answer(retrieve_greedy(graph, "g", kitchen, heuristic)) == ((2, 1, 0), None, 4)
+    assert retrieve_ids(graph, "g", kitchen).tree.unit_ids == (1, 2, 0)
+
+
+def test_greedy_matches_an_independent_greedy_on_random_instances():
+    rng = random.Random(1729)
+    for _ in range(300):
+        graph, goal, kitchen = helpers.random_instance(rng)
+        for key in {goal, *graph.node_index}:
+            for heuristic in (H1, H2):
+                assert answer(retrieve_greedy(graph, key, kitchen, heuristic)) == (
+                    helpers.greedy_oracle(graph, key, kitchen, heuristic))
+
+
 # --- candidate selection ---
 
 
@@ -236,6 +267,30 @@ def test_select_single_candidate_under_both():
 def test_select_rejects_empty():
     with pytest.raises(ValueError):
         select_candidate([], rated_graph([0.5]), H1)
+
+
+def test_select_errors_name_their_cause():
+    with pytest.raises(ValueError, match="at least one candidate"):
+        select_candidate([], rated_graph([0.5]), H1)
+    with pytest.raises(ValueError, match="unknown heuristic"):
+        select_candidate([0], rated_graph([0.5]), "h1")
+
+
+def test_retrieval_result_holds_exactly_one_of_tree_and_reason():
+    for tree, reason in ((TaskTree((), "g"), NO_PRODUCER), (None, None)):
+        with pytest.raises(ValueError, match="exactly one of tree and reason"):
+            RetrievalResult(tree, reason, 0)
+
+
+def test_every_engine_answers_on_an_empty_graph():
+    graph = FoonGraph()
+    kitchen = Kitchen(frozenset(["k"]))
+    assert graph.min_depths(kitchen) == {"k": 0}
+    assert answer(retrieve_ids(graph, "g", kitchen)) == (None, NO_PRODUCER, 0)
+    assert answer(retrieve_ids(graph, "k", kitchen)) == ((), None, 1)
+    for heuristic in (H1, H2):
+        assert answer(retrieve_greedy(graph, "g", kitchen, heuristic)) == (None, NO_PRODUCER, 1)
+        assert answer(retrieve_greedy(graph, "k", kitchen, heuristic)) == ((), None, 1)
 
 
 def test_select_laws_on_random_instances():
