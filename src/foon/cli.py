@@ -95,12 +95,7 @@ def resolve_goal(spec: str, graph: FoonGraph, kitchen: Kitchen) -> str:
         raise CliError(EXIT_USAGE, f"bad goal spec {spec!r}: {exc}") from None
     if match["states"] is not None or match["ings"] is not None:
         return key
-    # names hold no { or [, so a key has bare name `key` exactly when it is
-    # `key` or continues with { or [
-    matches = sorted(set(graph.keys_named(key)).union(
-        candidate for candidate in kitchen.items
-        if candidate == key or candidate.startswith((key + "{", key + "["))
-    ))
+    matches = sorted(set(graph.keys_named(key)).union(kitchen.keys_named(key)))
     if len(matches) > 1:
         raise CliError(
             EXIT_USAGE, f"goal name {spec.strip()!r} is ambiguous: " + ", ".join(matches)

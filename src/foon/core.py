@@ -298,10 +298,21 @@ class Kitchen:
     items: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "items", frozenset(self.items))
+        items = frozenset(self.items)
+        object.__setattr__(self, "items", items)
+        names = {}
+        for key in sorted(items):
+            # a key's bare name is the text before its first { or [
+            names.setdefault(key.partition("{")[0].partition("[")[0], []).append(key)
+        # not a field: equality, hash and repr read items alone
+        object.__setattr__(self, "_names", names)
 
     def __contains__(self, key: str) -> bool:
         return key in self.items
+
+    def keys_named(self, name: str) -> list:
+        """Kitchen keys whose bare name is name, sorted; do not mutate the list."""
+        return self._names.get(name, [])
 
     @classmethod
     def from_nodes(cls, nodes) -> "Kitchen":
@@ -337,7 +348,7 @@ def verify_task_tree(graph: FoonGraph, tree: TaskTree, kitchen: Kitchen, goal: s
     reports the position just past the last unit.
     """
     items = kitchen.items
-    violation = tree_unit_violation(graph, tree, set(items))
+    violation = tree_unit_violation(graph, tree, items)
     if violation is not None:
         return violation
     if tree.unit_ids:
@@ -348,27 +359,28 @@ def verify_task_tree(graph: FoonGraph, tree: TaskTree, kitchen: Kitchen, goal: s
     return None
 
 
-def tree_unit_violation(graph: FoonGraph, tree: TaskTree, available: set | None):
+def tree_unit_violation(graph: FoonGraph, tree: TaskTree, items):
     """First unit of the tree that breaks, in order; None if none does.
 
     A unit breaks when its id is unknown to the graph or repeats an earlier
-    one, and, when available is a set of keys, when one of its inputs is
-    not in the set; each unit's outputs then join the set. With available
-    None only these graph-local checks run, which is what a tree already
-    verified against its kitchen needs.
+    one, and, when items is a set of kitchen keys, when one of its inputs
+    is neither in items nor an output of an earlier unit. items is read and
+    never updated. With items None only the graph-local checks run, which
+    is what a tree already verified against its kitchen needs.
     """
     units = graph.units
     seen = set()
+    produced = set()
     for pos, uid in enumerate(tree.unit_ids):
         if not isinstance(uid, int) or uid < 0 or uid >= len(units):
             return TreeViolation(pos, f"unknown unit id {uid!r}")
         if uid in seen:
             return TreeViolation(pos, f"duplicate unit id {uid}")
         seen.add(uid)
-        if available is not None:
+        if items is not None:
             unit = units[uid]
             for key in unit.input_keys:
-                if key not in available:
+                if key not in items and key not in produced:
                     return TreeViolation(pos, f"input {key} not available")
-            available.update(unit.output_keys)
+            produced.update(unit.output_keys)
     return None

@@ -10,6 +10,7 @@ solvable one layer down. Depth counts functional-unit layers.
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from itertools import chain
 
 from .core import FoonGraph, Kitchen, TaskTree, verify_task_tree
@@ -170,21 +171,36 @@ def _first_fit_order(graph: FoonGraph, unit_ids, kitchen: Kitchen):
 
     Stable first-fit: repeatedly take the earliest listed unit that can
     execute now. Units already in executable order come out unchanged.
+
+    One forward pass over the listed units' keys (Kahn 1962): a unit
+    that cannot execute when the walk reaches it counts its missing keys and
+    waits on each; the first producer of a key releases its waiters, whose
+    positions, all behind the walk, leave a min-heap before the walk moves on.
     """
-    remaining = list(unit_ids)
-    available = set(kitchen.items)
+    units, items = graph.units, kitchen.items
+    produced = set()
+    waiting = {}  # key -> positions of the units that wait for it
+    missing = [0] * len(unit_ids)
+    ready = []
     ordered = []
-    while remaining:
-        for pos, uid in enumerate(remaining):
-            unit = graph.units[uid]
-            if all(key in available for key in unit.input_keys):
-                ordered.append(uid)
-                available.update(unit.output_keys)
-                del remaining[pos]
-                break
-        else:
-            return None
-    return ordered
+    for pos, uid in enumerate(unit_ids):
+        for key in units[uid].input_keys:
+            if key not in items and key not in produced:
+                missing[pos] += 1
+                waiting.setdefault(key, []).append(pos)
+        if not missing[pos]:
+            heappush(ready, pos)
+        while ready:
+            uid = unit_ids[heappop(ready)]
+            ordered.append(uid)
+            for key in units[uid].output_keys:
+                if key not in items and key not in produced:
+                    produced.add(key)
+                    for waiter in waiting.pop(key, ()):
+                        missing[waiter] -= 1
+                        if not missing[waiter]:
+                            heappush(ready, waiter)
+    return ordered if len(ordered) == len(unit_ids) else None
 
 
 def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,

@@ -180,8 +180,8 @@ def min_layer_depths(graph: FoonGraph, kitchen: Kitchen) -> dict:
 
 
 def _first_fit_order(graph: FoonGraph, unit_ids, kitchen: Kitchen):
-    # a copy of the greedy engine's ordering, so the oracle shares no code
-    # with the engine it checks
+    # the quadratic reference for the engine's one-pass ordering: rescan
+    # from the start after each placement; it shares no code with the engine
     remaining = list(unit_ids)
     available = set(kitchen.items)
     ordered = []

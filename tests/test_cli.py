@@ -217,6 +217,18 @@ def test_a_goal_spec_with_states_never_widens_to_a_longer_key():
     assert resolve_goal("ice{solid}", FoonGraph(), kitchen) == "ice{solid}"
 
 
+def test_empty_braces_name_the_stateless_key_exactly():
+    graph = FoonGraph.from_units(
+        [FunctionalUnit((ObjectNode("water"),), MotionNode("freeze"),
+                        (ObjectNode("ice", frozenset(["solid"])),))]
+    )
+    kitchen = Kitchen(frozenset(["ice[salt]"]))
+    assert resolution("ice", graph, kitchen) == (
+        "goal name 'ice' is ambiguous: ice[salt], ice{solid}")
+    for spec in ("ice{}", "ice[]", "ice{ }[]"):
+        assert resolve_goal(spec, graph, kitchen) == "ice"
+
+
 def test_goal_resolution_and_greedy_keep_their_signatures():
     assert list(inspect.signature(resolve_goal).parameters) == ["spec", "graph", "kitchen"]
     assert list(inspect.signature(retrieve_greedy).parameters) == [

@@ -280,6 +280,33 @@ def test_kitchen_from_nodes():
     assert "water{cold}" in kitchen and "cup" in kitchen and "water" not in kitchen
 
 
+def test_kitchen_keys_named_matches_a_prefix_scan():
+    rng = random.Random(3141)
+    fixed = ["salt", "salt{fine}", "salt[pepper]", "salt{fine}[pepper]", "saltwater",
+             "salt shaker{full}", "saltsake{s}", "salt cellar[salt]"]
+    for _ in range(200):
+        items = set(rng.sample(fixed, rng.randint(0, len(fixed))))
+        items.update(helpers.random_node(rng).key for _ in range(rng.randint(0, 6)))
+        kitchen = Kitchen(items)
+        names = {key.split("{")[0].split("[")[0] for key in items} | {"salt", "absent"}
+        for name in names:
+            want = sorted(key for key in items
+                          if key == name or key.startswith((name + "{", name + "[")))
+            assert kitchen.keys_named(name) == want
+
+
+def test_kitchens_with_equal_items_are_equal_hash_alike_and_print_alike():
+    items = frozenset(["salt{fine}", "salt[pepper]", "bowl", "saltsake{s}"])
+    first, second = Kitchen(items), Kitchen(items)
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second) == f"Kitchen(items={items!r})"
+    from_list = Kitchen(sorted(items))
+    assert from_list == first and hash(from_list) == hash(first)
+    assert first != Kitchen(items | {"salt"})
+    graph = chain_graph()
+    assert graph.min_depths(second) is graph.min_depths(first)
+
+
 # --- task tree verification ---
 
 
@@ -317,6 +344,23 @@ def test_verify_flags_duplicates_unknown_ids_and_missing_goal():
     uncovered = verify_task_tree(graph, TaskTree((0,), "d"), kitchen, "d")
     assert uncovered is not None and uncovered.position == 1
     assert "never produced" in uncovered.reason
+
+
+def test_unit_check_reads_the_kitchen_set_without_updating_it():
+    graph = FoonGraph.from_units(
+        [
+            simple_unit(["a"], "mix", ["b"]),
+            simple_unit(["a"], "chop", ["c"]),
+            simple_unit(["c"], "pour", ["d"]),
+        ]
+    )
+    kitchen = Kitchen(frozenset(["a"]))
+    # unit 2 needs c, which only unit 1, listed after it, produces
+    violation = foon.core.tree_unit_violation(graph, TaskTree((0, 2, 1), "d"), kitchen.items)
+    assert (violation.position, violation.reason) == (1, "input c not available")
+    items = {"a"}
+    assert foon.core.tree_unit_violation(graph, TaskTree((0, 1, 2), "d"), items) is None
+    assert items == {"a"}
 
 
 def test_verify_empty_tree_needs_goal_in_kitchen():

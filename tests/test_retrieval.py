@@ -233,6 +233,22 @@ def test_greedy_matches_an_independent_greedy_on_random_instances():
                     helpers.greedy_oracle(graph, key, kitchen, heuristic))
 
 
+def test_one_pass_ordering_matches_the_quadratic_first_fit():
+    rng = random.Random(1962)
+    outcomes = set()
+    multi_output = False
+    for _ in range(1000):
+        graph, _, own = helpers.random_instance(rng)
+        for kitchen in (own, Kitchen()):
+            for _ in range(3):
+                ids = rng.sample(range(len(graph.units)), rng.randint(1, len(graph.units)))
+                got = foon.retrieval._first_fit_order(graph, ids, kitchen)
+                assert got == helpers._first_fit_order(graph, ids, kitchen)
+                outcomes.add(got is None)
+                multi_output |= any(len(graph.units[uid].outputs) > 1 for uid in ids)
+    assert outcomes == {True, False} and multi_output
+
+
 # --- candidate selection ---
 
 
@@ -526,6 +542,31 @@ def test_default_ids_solves_a_5000_unit_chain_without_recursion():
     result, elapsed = timed_ids(graph, "link 5000", Kitchen(frozenset(["link 0"])))
     assert result.tree.unit_ids == tuple(range(5000))
     assert elapsed < 1.0, f"chain took {elapsed:.3f}s"
+
+
+def greedy_worst_case(n):
+    # reversed breadth-first picks put every b_i's producer first, but each
+    # a_i needs a_(i-1), so a rescan from the start finds one unit per pass
+    units = [simple_unit([f"a{n}"] + [f"b{i}" for i in range(1, n + 1)], "serve", ["g"])]
+    units += [simple_unit([f"a{i - 1}", f"b{i}"], f"make a{i}", [f"a{i}"])
+              for i in range(1, n + 1)]
+    units += [simple_unit(["a0"], f"make b{i}", [f"b{i}"]) for i in range(1, n + 1)]
+    return FoonGraph.from_units(units), Kitchen(frozenset(["a0"]))
+
+
+def test_greedy_orders_its_worst_case_in_one_pass():
+    graph, kitchen = greedy_worst_case(100)
+    for heuristic in (H1, H2):
+        assert answer(retrieve_greedy(graph, "g", kitchen, heuristic)) == (
+            helpers.greedy_oracle(graph, "g", kitchen, heuristic))
+    graph, kitchen = greedy_worst_case(2000)
+    assert len(graph.units) == 4001
+    for heuristic in (H1, H2):
+        start = time.perf_counter()
+        result = retrieve_greedy(graph, "g", kitchen, heuristic)
+        elapsed = time.perf_counter() - start
+        assert verify_task_tree(graph, result.tree, kitchen, "g") is None
+        assert elapsed < 1.0, f"{heuristic.name} took {elapsed:.3f}s"
 
 
 def test_default_ids_shares_stacked_diamonds():
