@@ -103,6 +103,8 @@ def resolve_goal(spec: str, graph: FoonGraph, kitchen: Kitchen) -> str:
     return matches[0] if matches else key
 
 
+# engine -> compare column title, in column order
+_COLUMNS = {"ids": "Iterative Deepening Search", "h1": "Heuristic 1", "h2": "Heuristic 2"}
 _HEURISTICS = {"h1": HeuristicKind.MAX_SUCCESS_RATE, "h2": HeuristicKind.MIN_INPUT_COUNT}
 
 
@@ -149,9 +151,6 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-_COMPARE_COLUMNS = ("Iterative Deepening Search", "Heuristic 1", "Heuristic 2")
-
-
 def cmd_compare(args) -> int:
     graph = _load_graph(args.graph)
     kitchen = _load_kitchen(args.kitchen)
@@ -165,26 +164,26 @@ def cmd_compare(args) -> int:
             goal = resolve_goal(spec, graph, kitchen)
         except CliError as exc:
             print(f"skipping goal {spec!r}: {exc.message}", file=sys.stderr)
-            rows.append((spec, [None, None, None]))
+            rows.append((spec, [None] * len(_COLUMNS)))
             continue
-        for algo in ("ids", "h1", "h2"):
+        for algo in _COLUMNS:
             result = _run_algorithm(algo, graph, goal, kitchen)
             cells.append(len(result.tree.unit_ids) if result.found else None)
         rows.append((goal, cells))
-    header = ("Goal Nodes",) + _COMPARE_COLUMNS
+    header = ("Goal Nodes", *_COLUMNS.values())
     table = [header] + [
         (goal,) + tuple("-" if cell is None else str(cell) for cell in cells)
         for goal, cells in rows
     ]
-    widths = [max(len(row[col]) for row in table) for col in range(4)]
+    widths = [max(map(len, column)) for column in zip(*table)]
     out = []
     for row in table:
         first = row[0].ljust(widths[0])
-        rest = "  ".join(row[col].rjust(widths[col]) for col in range(1, 4))
+        rest = "  ".join(cell.rjust(width) for cell, width in zip(row[1:], widths[1:]))
         out.append((first + "  " + rest).rstrip())
     print("\n".join(out))
     if args.csv:
-        csv_lines = ["goal,ids,h1,h2"]
+        csv_lines = [",".join(["goal", *_COLUMNS])]
         for goal, cells in rows:
             csv_lines.append(
                 goal + "," + ",".join("" if cell is None else str(cell) for cell in cells)
@@ -226,10 +225,7 @@ def cmd_verify(args) -> int:
     tree = TaskTree(tuple(unit_ids), goal)
     violation = verify_task_tree(graph, tree, kitchen, goal)
     if violation is not None:
-        print(
-            f"invalid task tree at unit position {violation.position}: {violation.reason}",
-            file=sys.stderr,
-        )
+        print(violation, file=sys.stderr)
         return EXIT_INVALID_TREE
     print(f"valid task tree: {_plural(len(unit_ids), 'functional unit')}", file=sys.stderr)
     return EXIT_OK
@@ -258,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("-g", "--goal", required=True, help="goal node, e.g. 'ice{solid}'")
     p.add_argument("-k", "--kitchen", required=True, help="kitchen file")
-    p.add_argument("-a", "--algo", choices=("ids", "h1", "h2"), default="ids")
+    p.add_argument("-a", "--algo", choices=tuple(_COLUMNS), default="ids")
     p.add_argument("--max-depth", type=_depth_limit, default=None, help="IDS depth limit")
     p.add_argument("-o", "--output", help="write the task tree here (default: stdout)")
     p.set_defaults(func=cmd_search)

@@ -337,6 +337,9 @@ class TreeViolation:
     position: int
     reason: str
 
+    def __str__(self) -> str:
+        return f"invalid task tree at unit position {self.position}: {self.reason}"
+
 
 def verify_task_tree(graph: FoonGraph, tree: TaskTree, kitchen: Kitchen, goal: str):
     """Check executability and goal coverage; None if valid, else a violation.
@@ -362,11 +365,9 @@ def verify_task_tree(graph: FoonGraph, tree: TaskTree, kitchen: Kitchen, goal: s
 def tree_unit_violation(graph: FoonGraph, tree: TaskTree, items):
     """First unit of the tree that breaks, in order; None if none does.
 
-    A unit breaks when its id is unknown to the graph or repeats an earlier
-    one, and, when items is a set of kitchen keys, when one of its inputs
-    is neither in items nor an output of an earlier unit. items is read and
-    never updated. With items None only the graph-local checks run, which
-    is what a tree already verified against its kitchen needs.
+    A unit breaks when its id is unknown to the graph, repeats an earlier
+    one, or has an input that is neither in items nor an output of an
+    earlier unit. items is read and never updated.
     """
     units = graph.units
     seen = set()
@@ -377,10 +378,9 @@ def tree_unit_violation(graph: FoonGraph, tree: TaskTree, items):
         if uid in seen:
             return TreeViolation(pos, f"duplicate unit id {uid}")
         seen.add(uid)
-        if items is not None:
-            unit = units[uid]
-            for key in unit.input_keys:
-                if key not in items and key not in produced:
-                    return TreeViolation(pos, f"input {key} not available")
-            produced.update(unit.output_keys)
+        unit = units[uid]
+        for key in unit.input_keys:
+            if key not in items and key not in produced:
+                return TreeViolation(pos, f"input {key} not available")
+        produced.update(unit.output_keys)
     return None

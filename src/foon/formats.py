@@ -259,17 +259,16 @@ def serialize_task_tree(graph: FoonGraph, tree: TaskTree, kitchen=None, algorith
     """Emit a task tree as a subgraph with goal/algorithm trailer comments.
 
     With a kitchen the tree is fully verified first; without one only the
-    graph-local checks (known ids, no repeats) run. Invalid trees raise
-    ValueError carrying the violation.
+    graph-local checks (known ids, no repeats) can fail, since every input
+    of a graph unit is a graph node. Invalid trees raise ValueError carrying
+    the violation.
     """
     if kitchen is None:
-        violation = tree_unit_violation(graph, tree, None)
+        violation = tree_unit_violation(graph, tree, graph.node_index)
     else:
         violation = verify_task_tree(graph, tree, kitchen, tree.goal_key)
     if violation is not None:
-        raise ValueError(
-            f"invalid task tree at unit position {violation.position}: {violation.reason}"
-        )
+        raise ValueError(str(violation))
     lines = ["# foon task tree"]
     for uid in tree.unit_ids:
         lines.extend(_unit_lines(graph.units[uid]))

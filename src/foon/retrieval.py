@@ -67,9 +67,8 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
     producer the search at that bound commits to. memoize=False runs the
     literal loop instead, the reference whose expansion count the closed
     form :func:`ids_expansion_formula` predicts. It is for small graphs
-    only: it recurses once per layer, so it raises RecursionError near
-    1,000 layers, and on an unreachable goal in a cyclic graph its cost is
-    exponential in the depth bound (an 11-unit random graph took 32 s).
+    only: on an unreachable goal in a cyclic graph its cost is exponential
+    in the depth bound (an 11-unit random graph took 32 s).
 
     depth_limit defaults to the unit count, a trivially sufficient bound.
     """
@@ -117,7 +116,11 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
 
 
 def _literal_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit: int):
-    """The literal iterative-deepening loop; expansions counts solve() calls."""
+    """The literal iterative-deepening loop; expansions counts solve() calls.
+
+    solve yields each recursive call and is sent back its value, so the
+    bound loop keeps the recursion on a list instead of the C stack.
+    """
     expansions = 0
 
     def solve(key, budget):
@@ -131,13 +134,23 @@ def _literal_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit: int
         for uid in graph.producers[graph.node_index[key]]:
             # every input is resolved, even after one fails: the search
             # visits every child of a failed unit
-            subs = [solve(k, budget - 1) for k in graph.units[uid].input_keys]
+            subs = []
+            for k in graph.units[uid].input_keys:
+                subs.append((yield solve(k, budget - 1)))
             if None not in subs:
                 return tuple(chain.from_iterable(subs)) + (uid,)
         return None
 
     for d in range(depth_limit + 1):
-        found = solve(goal, d)
+        calls = [solve(goal, d)]
+        found = None  # sent to the top call: a finished callee's value, or None to start it
+        while calls:
+            try:
+                calls.append(calls[-1].send(found))
+                found = None
+            except StopIteration as stop:
+                calls.pop()
+                found = stop.value
         if found is not None:
             return _verified(graph, TaskTree(tuple(dict.fromkeys(found)), goal), kitchen,
                              expansions)
@@ -194,7 +207,8 @@ def _first_fit_order(graph: FoonGraph, unit_ids, kitchen: Kitchen):
             uid = unit_ids[heappop(ready)]
             ordered.append(uid)
             for key in units[uid].output_keys:
-                if key not in items and key not in produced:
+                # kitchen keys never have waiters
+                if key not in produced:
                     produced.add(key)
                     for waiter in waiting.pop(key, ()):
                         missing[waiter] -= 1
@@ -245,8 +259,7 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
             if input_key not in visited:
                 visited.add(input_key)
                 queue.append(input_key)
-    picked.reverse()
-    ordered = _first_fit_order(graph, list(dict.fromkeys(picked)), kitchen)
+    ordered = _first_fit_order(graph, list(dict.fromkeys(reversed(picked))), kitchen)
     if ordered is None:
         return RetrievalResult(None, GREEDY_DEAD_END, expansions)
     return RetrievalResult(TaskTree(tuple(ordered), goal), None, expansions)

@@ -346,6 +346,11 @@ def test_verify_flags_duplicates_unknown_ids_and_missing_goal():
     assert "never produced" in uncovered.reason
 
 
+def test_a_violation_prints_as_the_one_message_verify_and_serialize_share():
+    assert str(foon.TreeViolation(2, "duplicate unit id 0")) == (
+        "invalid task tree at unit position 2: duplicate unit id 0")
+
+
 def test_unit_check_reads_the_kitchen_set_without_updating_it():
     graph = FoonGraph.from_units(
         [

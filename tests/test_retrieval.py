@@ -544,6 +544,17 @@ def test_default_ids_solves_a_5000_unit_chain_without_recursion():
     assert elapsed < 1.0, f"chain took {elapsed:.3f}s"
 
 
+def test_literal_ids_walks_a_600_unit_chain_without_recursion():
+    graph = FoonGraph.from_units(
+        simple_unit([f"link {i}"], f"step {i}", [f"link {i + 1}"]) for i in range(600)
+    )
+    kitchen = Kitchen(frozenset(["link 0"]))
+    literal = retrieve_ids(graph, "link 600", kitchen, memoize=False)
+    assert literal.tree == retrieve_ids(graph, "link 600", kitchen).tree
+    # bound d makes d + 1 solve() calls, for d = 0..600
+    assert literal.expansions == 601 * 602 // 2 == 180_901
+
+
 def greedy_worst_case(n):
     # reversed breadth-first picks put every b_i's producer first, but each
     # a_i needs a_(i-1), so a rescan from the start finds one unit per pass
