@@ -11,7 +11,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import chain
 
 from .core import FoonGraph, Kitchen, TaskTree, verify_task_tree
 
@@ -30,9 +29,9 @@ class RetrievalResult:
     """Outcome of one retrieval: a tree or a failure reason, plus expansions.
 
     expansions counts, for iterative deepening, the (key, budget) pairs the
-    tree rebuild visits on the default path (so 1 for a goal already in
-    the kitchen and 0 for every failure) and solve() invocations on the
-    literal loop (memoize=False); for the greedy engines, queue dequeues.
+    tree rebuild visits (so 1 for a goal already in the kitchen and 0 for
+    every failure), or with memoize=False the solve() calls the literal
+    loop would make; for the greedy engines, queue dequeues.
     """
 
     tree: TaskTree | None
@@ -52,25 +51,25 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
                  memoize: bool = True) -> RetrievalResult:
     """Iterative-deepening retrieval; returns the first tree found.
 
-    Iterative deepening tries depth bounds d = 0, 1, ..., depth_limit. At
-    each bound, a node resolves if it is in the kitchen, or (with budget
-    left) if some producing unit, tried in insertion order and committing
-    to the first success, has all inputs resolvable at budget-1. Units come
-    back in dependency order with later repeats dropped.
+    Iterative deepening tries depth bounds d = 0, 1, ..., depth_limit
+    (default: the unit count, a trivially sufficient bound). At each bound,
+    a node resolves if it is in the kitchen, or (with budget left) if some
+    producing unit, tried in insertion order and committing to the first
+    success, has all inputs resolvable at budget-1. Units come back in
+    dependency order with later repeats dropped.
 
-    The default path gives the same tree without re-searching at every
-    bound. It reads the goal's minimum depth D from the graph's cached
-    depth table (:meth:`FoonGraph.min_depths`, built once per graph and
-    kitchen), fails when D exceeds the limit, and otherwise rebuilds the
-    bound-D tree with an explicit stack: at budget b it takes the first
-    producer whose inputs all have depth <= b-1, which is exactly the
-    producer the search at that bound commits to. memoize=False runs the
-    literal loop instead, the reference whose expansion count the closed
-    form :func:`ids_expansion_formula` predicts. It is for small graphs
-    only: on an unreachable goal in a cyclic graph its cost is exponential
-    in the depth bound (an 11-unit random graph took 32 s).
+    No bound is searched. The goal's minimum depth D comes from the graph's
+    cached depth table (:meth:`FoonGraph.min_depths`); the search fails
+    when D exceeds the limit, and otherwise the bound-D tree is rebuilt
+    with an explicit stack: at budget b it takes the first producer whose
+    inputs all have depth <= b-1, the one the search at that bound takes.
 
-    depth_limit defaults to the unit count, a trivially sufficient bound.
+    memoize selects the expansion count only. memoize=False gives the same
+    tree or reason with the solve() calls of the literal loop (Korf 1985),
+    which :func:`ids_expansion_formula` predicts, worked out without making
+    them in O((limit + 1) x edges behind the goal) time, the limit being D
+    when the goal is found: polynomial, but an unreachable goal in a
+    100k-unit graph at the default limit is still out of reach.
     """
     if depth_limit is None:
         depth_limit = len(graph.units)
@@ -80,12 +79,11 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
     nid = graph.node_index.get(goal)
     if goal not in items and (nid is None or not graph.producers[nid]):
         return RetrievalResult(None, NO_PRODUCER, 0)
-    if not memoize:
-        return _literal_ids(graph, goal, kitchen, depth_limit)
     depths = graph.min_depths(kitchen)
-    bound = depths.get(goal)
-    if bound is None or bound > depth_limit:
-        return RetrievalResult(None, DEPTH_LIMIT_EXHAUSTED, 0)
+    bound = depths.get(goal, depth_limit + 1)
+    if bound > depth_limit:
+        calls = 0 if memoize else _solve_calls(graph, goal, kitchen, depths, depth_limit)
+        return RetrievalResult(None, DEPTH_LIMIT_EXHAUSTED, calls)
 
     producers, node_index, units = graph.producers, graph.node_index, graph.units
     emitted = {}
@@ -112,56 +110,58 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
             raise RuntimeError(f"depth table has no producer for {key} at budget {budget}")
         stack.append(uid)
         stack.extend((k, budget - 1) for k in reversed(inputs))
-    return _verified(graph, TaskTree(tuple(emitted), goal), kitchen, len(visited))
-
-
-def _literal_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit: int):
-    """The literal iterative-deepening loop; expansions counts solve() calls.
-
-    solve yields each recursive call and is sent back its value, so the
-    bound loop keeps the recursion on a list instead of the C stack.
-    """
-    expansions = 0
-
-    def solve(key, budget):
-        # returns a dependency-ordered tuple of unit ids, or None
-        nonlocal expansions
-        expansions += 1
-        if key in kitchen:
-            return ()
-        if budget == 0:
-            return None
-        for uid in graph.producers[graph.node_index[key]]:
-            # every input is resolved, even after one fails: the search
-            # visits every child of a failed unit
-            subs = []
-            for k in graph.units[uid].input_keys:
-                subs.append((yield solve(k, budget - 1)))
-            if None not in subs:
-                return tuple(chain.from_iterable(subs)) + (uid,)
-        return None
-
-    for d in range(depth_limit + 1):
-        calls = [solve(goal, d)]
-        found = None  # sent to the top call: a finished callee's value, or None to start it
-        while calls:
-            try:
-                calls.append(calls[-1].send(found))
-                found = None
-            except StopIteration as stop:
-                calls.pop()
-                found = stop.value
-        if found is not None:
-            return _verified(graph, TaskTree(tuple(dict.fromkeys(found)), goal), kitchen,
-                             expansions)
-    return RetrievalResult(None, DEPTH_LIMIT_EXHAUSTED, expansions)
-
-
-def _verified(graph: FoonGraph, tree: TaskTree, kitchen: Kitchen, expansions: int):
-    violation = verify_task_tree(graph, tree, kitchen, tree.goal_key)
+    tree = TaskTree(tuple(emitted), goal)
+    violation = verify_task_tree(graph, tree, kitchen, goal)
     if violation is not None:
         raise RuntimeError(f"resolution produced an invalid tree: {violation}")
-    return RetrievalResult(tree, None, expansions)
+    calls = len(visited) if memoize else _solve_calls(graph, goal, kitchen, depths, bound)
+    return RetrievalResult(tree, None, calls)
+
+
+def _solve_calls(graph: FoonGraph, goal: str, kitchen: Kitchen, depths: dict, last: int):
+    """solve() calls the literal iterative-deepening loop makes at bounds 0..last.
+
+    solve(key, b) is one call, plus, unless the kitchen holds key or b is
+    0, the calls on the inputs of each producer it tries at b-1: all of
+    them, in insertion order up to the first whose inputs all have depth
+    <= b-1. Summed bottom-up, one budget at a time, over the keys behind
+    the goal; a key j steps from the goal is only solved at budgets up to
+    last - j.
+    """
+    items, units = kitchen.items, graph.units
+    order = [goal]  # breadth-first from the goal
+    ends = [0, 1]  # ends[j]: how many keys are fewer than j steps from the goal
+    # key -> per producer tried: the budget it fits from, and its inputs
+    # joined to those of the producers before it
+    tried = {goal: []}
+    while len(ends) <= last + 1:
+        for key in order[ends[-2]:]:
+            if key not in items:
+                inputs_so_far = ()
+                for uid in graph.producers_of(key):
+                    inputs = units[uid].input_keys
+                    inputs_so_far += inputs
+                    # a key absent from the table gets depth last, which never fits
+                    tried[key].append((1 + max(depths.get(k, last) for k in inputs), inputs_so_far))
+                    for k in inputs:
+                        if k not in tried:
+                            tried[k] = []
+                            order.append(k)
+        ends.append(len(order))
+    below = dict.fromkeys(order, 1)  # budget 0: one call per key
+    total = 1
+    for budget in range(1, last + 1):
+        calls = {}
+        for key in order[: ends[last - budget + 1]]:
+            inputs = ()
+            # the first producer that fits ends the tries; if none fits, all were tried
+            for fits, inputs in tried[key]:
+                if fits <= budget:
+                    break
+            calls[key] = 1 + sum(map(below.__getitem__, inputs))
+        below = calls
+        total += calls[goal]
+    return total
 
 
 def select_candidate(candidates, graph: FoonGraph, heuristic: HeuristicKind):

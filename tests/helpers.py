@@ -275,6 +275,43 @@ def tree_goal_depth(graph: FoonGraph, tree, kitchen: Kitchen):
     return goal_min_depth(sub, kitchen, tree.goal_key)
 
 
+def literal_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None) -> tuple:
+    """Literal iterative deepening (Korf 1985): (unit ids or None, solve() calls).
+
+    Plain recursion, so small instances only: on an unreachable goal in a
+    cyclic graph the calls grow exponentially with the bound. Bounds run
+    0..depth_limit (default: the unit count). solve(key, b) holds a kitchen
+    key, fails at b = 0, and otherwise tries the key's producers in
+    insertion order, solving every input at b-1 even after one fails, and
+    commits to the first whose inputs all resolve. A goal the kitchen lacks
+    and nothing produces is rejected before any call.
+    """
+    if depth_limit is None:
+        depth_limit = len(graph.units)
+    if goal not in kitchen and not graph.producers_of(goal):
+        return None, 0
+    calls = 0
+
+    def solve(key, budget):
+        nonlocal calls
+        calls += 1
+        if key in kitchen:
+            return ()
+        if budget == 0:
+            return None
+        for uid in graph.producers_of(key):
+            subs = [solve(k, budget - 1) for k in graph.units[uid].input_keys]
+            if None not in subs:
+                return tuple(itertools.chain.from_iterable(subs)) + (uid,)
+        return None
+
+    for bound in range(depth_limit + 1):
+        found = solve(goal, bound)
+        if found is not None:
+            return tuple(dict.fromkeys(found)), calls
+    return None, calls
+
+
 def uniform_bary_instance(b: int, depth: int):
     """Goal-absent instance for expansion accounting: a full b-ary key tree.
 

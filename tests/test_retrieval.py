@@ -92,16 +92,16 @@ def test_ids_expansions_monotone_in_depth_limit(cyclic, empty_kitchen):
 
 
 def test_ids_memoization_does_not_change_the_tree():
-    # shallow limit: without memoization cyclic instances blow up
-    # exponentially in the depth bound
+    # shallow limit: the literal reference blows up exponentially in the
+    # depth bound on cyclic instances
     rng = random.Random(20240817)
     for _ in range(150):
         graph, goal, kitchen = helpers.random_instance(rng)
         limit = min(len(graph.units), 4)
-        plain = retrieve_ids(graph, goal, kitchen, depth_limit=limit, memoize=False)
-        memoized = retrieve_ids(graph, goal, kitchen, depth_limit=limit, memoize=True)
-        assert plain.tree == memoized.tree
-        assert plain.reason == memoized.reason
+        expected = literal_answer(graph, goal, kitchen, limit)[:2]
+        for memoize in (False, True):
+            result = retrieve_ids(graph, goal, kitchen, depth_limit=limit, memoize=memoize)
+            assert answer(result)[:2] == expected, memoize
 
 
 def test_ids_prefers_first_producer_in_insertion_order():
@@ -400,8 +400,15 @@ def stacked_diamonds(layers):
 
 
 def literal(graph, goal, kitchen, depth_limit=None):
-    result = retrieve_ids(graph, goal, kitchen, depth_limit=depth_limit, memoize=False)
-    return (result.tree.unit_ids if result.found else None), result.reason, result.expansions
+    return answer(retrieve_ids(graph, goal, kitchen, depth_limit=depth_limit, memoize=False))
+
+
+def literal_answer(graph, goal, kitchen, depth_limit=None):
+    # helpers.literal_ids, with the reason retrieve_ids gives when no tree is found
+    unit_ids, calls = helpers.literal_ids(graph, goal, kitchen, depth_limit)
+    if unit_ids is not None:
+        return unit_ids, None, calls
+    return None, (DEPTH_LIMIT_EXHAUSTED if graph.producers_of(goal) else NO_PRODUCER), calls
 
 
 def test_literal_loop_counts_on_cycles_failures_and_shared_subtrees(cyclic, empty_kitchen,
@@ -453,14 +460,14 @@ def test_ids_layer_minimality_quick():
             assert not shallower.found
 
 
-# --- default path against the literal loop ---
+# --- both expansion counts against the literal reference ---
 
 
 def assert_same_answer(graph, goal, kitchen, limit, literal_limit):
+    expected = literal_answer(graph, goal, kitchen, literal_limit)
     default = retrieve_ids(graph, goal, kitchen, depth_limit=limit)
-    literal = retrieve_ids(graph, goal, kitchen, depth_limit=literal_limit, memoize=False)
-    assert default.tree == literal.tree, (goal, limit)
-    assert default.reason == literal.reason, (goal, limit)
+    assert answer(default)[:2] == expected[:2], (goal, limit)
+    assert literal(graph, goal, kitchen, literal_limit) == expected, (goal, literal_limit)
 
 
 def test_default_ids_matches_literal_loop_on_random_instances():
@@ -469,7 +476,7 @@ def test_default_ids_matches_literal_loop_on_random_instances():
         graph, goal, kitchen = helpers.random_instance(rng)
         reachable = helpers.goal_min_depth(graph, kitchen, goal) != helpers.INF
         for limit in (None, 0, 1, 2, 3):
-            # Without a memo the literal loop is exponential in the bound on
+            # The literal reference is exponential in the bound on
             # unreachable goals in cyclic graphs (one such instance took 32 s
             # at the default bound). Every bound fails those goals, so for
             # them bound 3 stands in for the default.
@@ -545,14 +552,33 @@ def test_default_ids_solves_a_5000_unit_chain_without_recursion():
 
 
 def test_literal_ids_walks_a_600_unit_chain_without_recursion():
-    graph = FoonGraph.from_units(
-        simple_unit([f"link {i}"], f"step {i}", [f"link {i + 1}"]) for i in range(600)
-    )
     kitchen = Kitchen(frozenset(["link 0"]))
-    literal = retrieve_ids(graph, "link 600", kitchen, memoize=False)
-    assert literal.tree == retrieve_ids(graph, "link 600", kitchen).tree
-    # bound d makes d + 1 solve() calls, for d = 0..600
-    assert literal.expansions == 601 * 602 // 2 == 180_901
+    for n, count in ((600, 180_901), (1200, 721_801)):
+        graph = FoonGraph.from_units(
+            simple_unit([f"link {i}"], f"step {i}", [f"link {i + 1}"]) for i in range(n)
+        )
+        start = time.perf_counter()
+        literal = retrieve_ids(graph, f"link {n}", kitchen, memoize=False)
+        elapsed = time.perf_counter() - start
+        assert literal.tree == retrieve_ids(graph, f"link {n}", kitchen).tree
+        # bound d makes d + 1 solve() calls, for d = 0..n
+        assert literal.expansions == (n + 1) * (n + 2) // 2 == count
+        assert elapsed < 1.0, f"{n}-unit chain took {elapsed:.3f}s"
+
+
+def test_literal_count_takes_under_a_second_where_the_loop_took_hours():
+    # making these calls took 32 s on the first instance (11 units, its own
+    # goal) and would take about 100 minutes on the second (12 units)
+    rng = random.Random(1)
+    instances = [helpers.random_instance(rng) for _ in range(1656)]
+    assert instances[273][1] == "item2"
+    for index, goal, count in ((273, "item2", 58_547_311), (1655, "item5", 5_991_400_051)):
+        graph, _, kitchen = instances[index]
+        start = time.perf_counter()
+        result = retrieve_ids(graph, goal, kitchen, memoize=False)
+        elapsed = time.perf_counter() - start
+        assert (result.reason, result.expansions) == (DEPTH_LIMIT_EXHAUSTED, count)
+        assert elapsed < 1.0, f"instance {index} took {elapsed:.3f}s"
 
 
 def greedy_worst_case(n):
