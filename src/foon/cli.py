@@ -29,10 +29,9 @@ EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+    @property
+    def message(self) -> str:
+        return self.args[0]
 
 
 def _read(path: str) -> str:
@@ -40,9 +39,9 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
-        raise CliError(EXIT_USAGE, f"cannot read {path}: {exc.strerror or exc}") from None
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise CliError(EXIT_USAGE, f"cannot read {path}: {exc}") from None
+        raise CliError(f"cannot read {path}: {exc}") from None
 
 
 def _write(path, text: str):
@@ -53,7 +52,7 @@ def _write(path, text: str):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise CliError(EXIT_USAGE, f"cannot write {path}: {exc.strerror or exc}") from None
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _load_graph(path: str) -> FoonGraph:
@@ -85,20 +84,20 @@ def resolve_goal(spec: str, graph: FoonGraph, kitchen: Kitchen) -> str:
     """
     match = _GOAL_RE.match(spec.strip())
     if match is None:
-        raise CliError(EXIT_USAGE, f"bad goal spec {spec!r}")
+        raise CliError(f"bad goal spec {spec!r}")
     try:
         name = match["name"]
         states = [s for s in (match["states"] or "").split(",") if s.strip()]
         ings = [i for i in (match["ings"] or "").split(",") if i.strip()]
         key = ObjectNode(name, frozenset(states), frozenset(ings)).key
     except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"bad goal spec {spec!r}: {exc}") from None
+        raise CliError(f"bad goal spec {spec!r}: {exc}") from None
     if match["states"] is not None or match["ings"] is not None:
         return key
     matches = sorted(set(graph.keys_named(key)).union(kitchen.keys_named(key)))
     if len(matches) > 1:
         raise CliError(
-            EXIT_USAGE, f"goal name {spec.strip()!r} is ambiguous: " + ", ".join(matches)
+            f"goal name {spec.strip()!r} is ambiguous: " + ", ".join(matches)
         )
     return matches[0] if matches else key
 
@@ -292,10 +291,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(exc.message, file=sys.stderr)
-        return exc.code
-    except (ParseError, OSError) as exc:
+    except (CliError, ParseError, OSError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug, not a usage error: one line, no traceback

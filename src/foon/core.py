@@ -8,6 +8,20 @@ unit, the atomic action of the network.
 
 from dataclasses import dataclass
 
+__all__ = [
+    "AddResult",
+    "FoonGraph",
+    "FunctionalUnit",
+    "Kitchen",
+    "MotionNode",
+    "ObjectNode",
+    "TaskTree",
+    "TreeViolation",
+    "merge",
+    "normalize_label",
+    "verify_task_tree",
+]
+
 # Structural characters of the key/goal grammar and the file format.
 # Tab and newline are field/record separators; the rest would make the
 # canonical key text ambiguous or break comment stripping.

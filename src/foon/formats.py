@@ -26,6 +26,15 @@ from .core import (
     verify_task_tree,
 )
 
+__all__ = [
+    "ParseError",
+    "export_dot",
+    "parse_kitchen",
+    "parse_subgraph",
+    "serialize_graph",
+    "serialize_task_tree",
+]
+
 
 class ParseError(Exception):
     """A format error at a specific 1-based line of a named source."""

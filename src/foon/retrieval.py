@@ -14,6 +14,18 @@ from heapq import heappop, heappush
 
 from .core import FoonGraph, Kitchen, TaskTree, verify_task_tree
 
+__all__ = [
+    "DEPTH_LIMIT_EXHAUSTED",
+    "GREEDY_DEAD_END",
+    "NO_PRODUCER",
+    "HeuristicKind",
+    "RetrievalResult",
+    "ids_expansion_formula",
+    "retrieve_greedy",
+    "retrieve_ids",
+    "select_candidate",
+]
+
 NO_PRODUCER = "no-producer"
 DEPTH_LIMIT_EXHAUSTED = "depth-limit-exhausted"
 GREEDY_DEAD_END = "greedy-dead-end"

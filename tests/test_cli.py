@@ -1,5 +1,8 @@
 import inspect
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -480,3 +483,21 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "merge" in capsys.readouterr().out
+
+
+def test_running_the_module_exits_with_the_code_main_returns(tmp_path, capsys):
+    root = DATA.parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "foon.cli", *args], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    stats = run("stats", "tests/data/F1.foon")
+    assert main(["stats", F1]) == 0
+    assert (stats.returncode, stats.stdout, stats.stderr) == (0, capsys.readouterr().out, "")
+    missing = str(tmp_path / "missing.foon")
+    gone = run("stats", missing)
+    assert main(["stats", missing]) == 2
+    assert (gone.returncode, gone.stdout, gone.stderr) == (2, "", capsys.readouterr().err)
+    assert gone.stderr.startswith(f"cannot read {missing}: ") and gone.stderr.count("\n") == 1

@@ -434,3 +434,21 @@ def test_star_import_gives_exactly_the_public_names():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(foon.__all__)
     assert {"core", "formats", "retrieval"}.isdisjoint(namespace)
+
+
+def test_each_public_name_is_declared_by_exactly_one_module():
+    modules = (foon.core, foon.formats, foon.retrieval)
+    declared = [name for module in modules for name in module.__all__]
+    assert sorted(declared) == sorted(foon.__all__)
+    assert len(set(declared)) == len(declared)
+    assert set(declared) == {
+        "AddResult", "FoonGraph", "FunctionalUnit", "Kitchen", "MotionNode", "ObjectNode",
+        "TaskTree", "TreeViolation", "merge", "normalize_label", "verify_task_tree",
+        "ParseError", "export_dot", "parse_kitchen", "parse_subgraph", "serialize_graph",
+        "serialize_task_tree", "DEPTH_LIMIT_EXHAUSTED", "GREEDY_DEAD_END", "NO_PRODUCER",
+        "HeuristicKind", "RetrievalResult", "ids_expansion_formula", "retrieve_greedy",
+        "retrieve_ids", "select_candidate",
+    }
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(foon, name) is getattr(module, name), name

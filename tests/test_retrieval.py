@@ -18,6 +18,7 @@ from foon import (
     ObjectNode,
     RetrievalResult,
     TaskTree,
+    TreeViolation,
     ids_expansion_formula,
     retrieve_greedy,
     retrieve_ids,
@@ -128,6 +129,24 @@ def test_ids_shared_subgoal_is_emitted_once():
     assert result.found
     assert sorted(result.tree.unit_ids) == [0, 1, 2, 3]
     assert result.tree.unit_ids.count(0) == 1
+
+
+def test_ids_raises_when_the_depth_table_names_no_producer(monkeypatch):
+    # a table that puts g at depth 1 but leaves out its input a
+    graph = FoonGraph.from_units([simple_unit(["a"], "make", ["g"])])
+    monkeypatch.setattr(graph, "min_depths", lambda kitchen: {"g": 1})
+    with pytest.raises(RuntimeError) as caught:
+        retrieve_ids(graph, "g", Kitchen(frozenset(["a"])))
+    assert str(caught.value) == "depth table has no producer for g at budget 1"
+
+
+def test_ids_raises_when_its_rebuilt_tree_fails_the_check(f2, k2, monkeypatch):
+    monkeypatch.setattr(foon.retrieval, "verify_task_tree", lambda *args: TreeViolation(0, "forced"))
+    with pytest.raises(RuntimeError) as caught:
+        retrieve_ids(f2, "sweet potato{fried}", k2)
+    assert str(caught.value) == (
+        "resolution produced an invalid tree: invalid task tree at unit position 0: forced"
+    )
 
 
 # --- greedy ---

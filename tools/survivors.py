@@ -3,18 +3,19 @@
 Each simple statement and each `if` block (with its elif and else arms)
 of every module under src/foon is replaced, one at a time, with `pass` in
 a temporary copy of the repository, and the suite runs there with
-`python -m pytest -x -q -p no:cacheprovider tests`. A replacement under
-which every test still passes is a survivor, printed as
-`module:line: text` in source order. Docstrings and `pass` statements are
-not replaced: no test could pin them.
+`python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0 tests`.
+A replacement under which every test still passes is a survivor, printed
+as `module:line: text` in source order. Docstrings and `pass` statements
+are not replaced: no test could pin them.
 
 At most two test runs go at once, each in its own copy, with a 1 GiB
 address-space limit and a time limit of five times the unmodified suite's
 run (at least a minute), so a replacement that loops or allocates forever
 is stopped and counts as caught. A full scan of about 580 statements
-used 64 CPU-minutes on a 2-core x86-64 machine. Hypothesis draws fresh
-examples on every run, so a statement that only a property test pins may
-come and go between scans.
+used 64 CPU-minutes on a 2-core x86-64 machine. Two scans of one tree
+agree: Hypothesis draws its examples from the fixed seed, and a copy's
+`.hypothesis` example database is deleted when its file is restored, so
+no mutant's saved failing example is tried first against the next one.
 
 Usage: python tools/survivors.py
 """
@@ -31,7 +32,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
+PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+          "--hypothesis-seed=0", "tests"]
 MEMORY_LIMIT = 1 << 30
 _SKIP_COPY = shutil.ignore_patterns(".git", ".bench_work", ".hypothesis", ".pytest_cache",
                                     "__pycache__", "*.egg-info")
@@ -118,6 +120,7 @@ def main() -> int:
                 survived[index] = code == 0
                 path = jobs[index][0]
                 (copy / path.relative_to(ROOT)).write_text(originals[path], encoding="utf-8")
+                shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
                 running.remove(entry)
                 free.append(copy)
             while printed < len(jobs) and survived[printed] is not None:
