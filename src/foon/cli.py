@@ -59,10 +59,6 @@ def _load_graph(path: str) -> FoonGraph:
     return FoonGraph.from_units(parse_subgraph(_read(path), path))
 
 
-def _load_kitchen(path: str) -> Kitchen:
-    return parse_kitchen(_read(path), path)
-
-
 def _plural(count: int, noun: str) -> str:
     return f"{count} {noun}" if count == 1 else f"{count} {noun}s"
 
@@ -130,7 +126,7 @@ def cmd_merge(args) -> int:
 
 def cmd_search(args) -> int:
     graph = _load_graph(args.graph)
-    kitchen = _load_kitchen(args.kitchen)
+    kitchen = parse_kitchen(_read(args.kitchen), args.kitchen)
     goal = resolve_goal(args.goal, graph, kitchen)
     result = _run_algorithm(args.algo, graph, goal, kitchen, args.max_depth)
     if not result.found:
@@ -152,7 +148,7 @@ def cmd_search(args) -> int:
 
 def cmd_compare(args) -> int:
     graph = _load_graph(args.graph)
-    kitchen = _load_kitchen(args.kitchen)
+    kitchen = parse_kitchen(_read(args.kitchen), args.kitchen)
     rows = []
     for raw in _read(args.goals).split("\n"):
         spec = raw.split("#", 1)[0].strip()
@@ -211,7 +207,7 @@ def cmd_stats(args) -> int:
 
 def cmd_verify(args) -> int:
     graph = _load_graph(args.graph)
-    kitchen = _load_kitchen(args.kitchen)
+    kitchen = parse_kitchen(_read(args.kitchen), args.kitchen)
     goal = resolve_goal(args.goal, graph, kitchen)
     tree_units = parse_subgraph(_read(args.tree), args.tree)
     unit_ids = []

@@ -46,34 +46,21 @@ class ParseError(Exception):
         self.reason = reason
 
 
-def _parse_ingredients(field: str, nodes: dict, source, line_no) -> list:
+def _parse_ingredients(field: str, nodes: dict) -> list:
     if len(field) < 2 or field[0] != "{" or field[-1] != "}":
-        raise ParseError(source, line_no, f"ingredient set {field!r} must be {{a,b,...}}")
+        raise ValueError(f"ingredient set {field!r} must be {{a,b,...}}")
     inner = field[1:-1]
     if not inner.strip():
-        raise ParseError(source, line_no, "empty ingredient set")
+        raise ValueError("empty ingredient set")
     return [
-        nodes.get(part) or _normalized(part, "ingredient label", nodes, source, line_no)
+        nodes.get(part) or nodes.setdefault(part, normalize_label(part, "ingredient label"))
         for part in inner.split(",")
     ]
 
 
-def _normalized(raw: str, what: str, nodes: dict, source, line_no) -> str:
-    """Normalize a label that missed the table, and remember it if it is valid."""
-    try:
-        label = normalize_label(raw, what)
-    except ValueError as exc:
-        raise ParseError(source, line_no, str(exc)) from None
-    nodes[raw] = label
-    return label
-
-
 def _object(name: str, states: list, ingredients: set, nodes: dict) -> ObjectNode:
     key = (name, frozenset(states), frozenset(ingredients))
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = ObjectNode(*key)
-    return node
+    return nodes.get(key) or nodes.setdefault(key, ObjectNode(*key))
 
 
 def _records(text: str, source: str, nodes: dict):
@@ -81,17 +68,19 @@ def _records(text: str, source: str, nodes: dict):
 
     An O line and the S lines after it fold into one ("O", ObjectNode)
     record numbered by its last line. M lines yield ("M", fields) and unit
-    separators ("//", None). Labels are checked on the line that holds
-    them, so every ParseError names its own line.
+    separators ("//", None). The field helpers raise a plain ValueError;
+    this loop's one handler attaches the line being read, so each label is
+    reported on its own line. Nothing else here raises ValueError: the
+    ObjectNode of a finished record gets labels already normalized.
 
     nodes is the intern table, a plain dict owned by the caller. It maps
     each raw label that passed validation to its normalized text, and each
     normalized (name, states, ingredients) to its one ObjectNode, so a
     label is normalized, and a node built, once per table however often
-    the text repeats them. A label missing from the table is checked in
-    full, and only a valid one enters it, so the table never changes what
-    a text parses to or which error it reports. A normalized label is never
-    empty, so ``nodes.get(raw) or ...`` falls through on a miss only.
+    the text repeats them. Only a built value enters the table, so the
+    table never changes what a text parses to or which error it reports.
+    Every interned value is truthy, so ``nodes.get(key) or
+    nodes.setdefault(key, build(...))`` builds on a miss only.
     """
     name = None
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -100,57 +89,58 @@ def _records(text: str, source: str, nodes: dict):
             continue
         fields = record.split("\t")
         tag = fields[0]
-        if tag == "S":
-            if name is None:
-                raise ParseError(source, line_no, "S line without a preceding O line")
-            if len(fields) not in (2, 3):
-                raise ParseError(
-                    source, line_no, "S line must be 'S<TAB>state' or 'S<TAB>state<TAB>{ings}'"
+        try:
+            if tag == "S":
+                if name is None:
+                    raise ValueError("S line without a preceding O line")
+                if len(fields) not in (2, 3):
+                    raise ValueError("S line must be 'S<TAB>state' or 'S<TAB>state<TAB>{ings}'")
+                if len(fields) == 3:
+                    ingredients.update(_parse_ingredients(fields[2], nodes))
+                state = fields[1]
+                # blank only beside an ingredient set: the stripped record ends in it
+                if state.strip():
+                    states.append(
+                        nodes.get(state)
+                        or nodes.setdefault(state, normalize_label(state, "state label"))
+                    )
+                last_line = line_no
+                continue
+            if name is not None:
+                yield last_line, "O", _object(name, states, ingredients, nodes)
+                name = None
+            if tag == "O":
+                if len(fields) != 2:
+                    raise ValueError("O line must be 'O<TAB>name'")
+                label = fields[1]
+                name = nodes.get(label) or nodes.setdefault(
+                    label, normalize_label(label, "object name")
                 )
-            if len(fields) == 3:
-                ingredients.update(_parse_ingredients(fields[2], nodes, source, line_no))
-            state = fields[1]
-            # blank only beside an ingredient set: the stripped record ends in it
-            if state.strip():
-                states.append(
-                    nodes.get(state) or _normalized(state, "state label", nodes, source, line_no)
-                )
-            last_line = line_no
-            continue
-        if name is not None:
-            yield last_line, "O", _object(name, states, ingredients, nodes)
-            name = None
-        if tag == "O":
-            if len(fields) != 2:
-                raise ParseError(source, line_no, "O line must be 'O<TAB>name'")
-            name = nodes.get(fields[1]) or _normalized(
-                fields[1], "object name", nodes, source, line_no
-            )
-            states, ingredients, last_line = [], set(), line_no
-        elif record == "//":
-            yield line_no, "//", None
-        elif tag == "M":
-            yield line_no, "M", fields
-        else:
-            raise ParseError(source, line_no, f"unrecognized record {tag!r}")
+                states, ingredients, last_line = [], set(), line_no
+            elif record == "//":
+                yield line_no, "//", None
+            elif tag == "M":
+                yield line_no, "M", fields
+            else:
+                raise ValueError(f"unrecognized record {tag!r}")
+        except ValueError as exc:
+            raise ParseError(source, line_no, str(exc)) from None
     if name is not None:
         yield last_line, "O", _object(name, states, ingredients, nodes)
 
 
-def _motion(fields: list, nodes: dict, source, line_no) -> MotionNode:
+def _motion(fields: list, nodes: dict) -> MotionNode:
     if len(fields) not in (2, 3):
-        raise ParseError(source, line_no, "M line must be 'M<TAB>label' or 'M<TAB>label<TAB>rate'")
-    label = nodes.get(fields[1]) or _normalized(fields[1], "motion label", nodes, source, line_no)
+        raise ValueError("M line must be 'M<TAB>label' or 'M<TAB>label<TAB>rate'")
+    raw = fields[1]
+    label = nodes.get(raw) or nodes.setdefault(raw, normalize_label(raw, "motion label"))
     rate = 1.0
     if len(fields) == 3:
         try:
             rate = float(fields[2])
         except ValueError:
-            raise ParseError(source, line_no, f"success rate {fields[2]!r} is not a number") from None
-    try:
-        return MotionNode(label, rate)
-    except ValueError as exc:
-        raise ParseError(source, line_no, str(exc)) from None
+            raise ValueError(f"success rate {fields[2]!r} is not a number") from None
+    return MotionNode(label, rate)
 
 
 def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = None) -> list:
@@ -163,43 +153,37 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
     files, as ``foon merge`` does, normalizes each distinct label and builds
     each distinct node once across all of them. Motions are interned in the
     same table by their raw M fields, so the rate keeps its spelling
-    (``-0.0`` stays apart from ``0.0``). The table never changes the result:
-    units, keys and errors are the same with or without it.
+    (``-0.0`` stays apart from ``0.0``). Like the record loop, the unit loop
+    attaches the line to a ValueError in one handler. The table never
+    changes the result: units, keys and errors are the same with or
+    without it.
     """
     if nodes is None:
         nodes = {}
-    units: list = []
-    inputs: list = []
-    outputs: list = []
-    motion = None
+    units, inputs, outputs, motion = [], [], [], None
     for line_no, tag, value in _records(text, source, nodes):
-        if tag == "//":
-            # an M line needs inputs, so a unit without inputs has no records
-            if not inputs:
-                raise ParseError(source, line_no, "empty functional unit")
-            if motion is None:
-                raise ParseError(source, line_no, "unit has no motion line")
-            if not outputs:
-                raise ParseError(source, line_no, "unit has no outputs")
-            try:
+        try:
+            if tag == "//":
+                # an M line needs inputs, so a unit without inputs has no records
+                if not inputs:
+                    raise ValueError("empty functional unit")
+                if motion is None:
+                    raise ValueError("unit has no motion line")
+                if not outputs:
+                    raise ValueError("unit has no outputs")
                 units.append(FunctionalUnit(tuple(inputs), motion, tuple(outputs)))
-            except ValueError as exc:
-                raise ParseError(source, line_no, str(exc)) from None
-            inputs, outputs, motion = [], [], None
-            continue
-        if tag == "O":
-            (outputs if motion is not None else inputs).append(value)
-        else:
-            if motion is not None:
-                raise ParseError(source, line_no, "unit has more than one motion line")
-            if not inputs:
-                raise ParseError(source, line_no, "unit has no inputs")
-            # the fields start with "M", so they never equal a label or node key
-            key = tuple(value)
-            motion = nodes.get(key)
-            if motion is None:
-                motion = nodes[key] = _motion(value, nodes, source, line_no)
-
+                inputs, outputs, motion = [], [], None
+            elif tag == "O":
+                (outputs if motion is not None else inputs).append(value)
+            elif motion is not None:
+                raise ValueError("unit has more than one motion line")
+            elif not inputs:
+                raise ValueError("unit has no inputs")
+            else:
+                key = tuple(value)
+                motion = nodes.get(key) or nodes.setdefault(key, _motion(value, nodes))
+        except ValueError as exc:
+            raise ParseError(source, line_no, str(exc)) from None
     if inputs:
         raise ParseError(source, line_no, "unterminated unit (missing //)")
     return units

@@ -143,21 +143,21 @@ def _solve_calls(graph: FoonGraph, goal: str, kitchen: Kitchen, depths: dict, la
     items, units = kitchen.items, graph.units
     order = [goal]  # breadth-first from the goal
     ends = [0, 1]  # ends[j]: how many keys are fewer than j steps from the goal
-    # key -> per producer tried: the budget it fits from, and its inputs
-    # joined to those of the producers before it
-    tried = {goal: []}
+    # key -> the inputs of its producers joined in insertion order, and per
+    # producer: the budget it fits from and where its inputs end in that list
+    tried = {goal: ([], [])}
     while len(ends) <= last + 1:
         for key in order[ends[-2]:]:
             if key not in items:
-                inputs_so_far = ()
+                joined, fits_ends = tried[key]
                 for uid in graph.producers_of(key):
                     inputs = units[uid].input_keys
-                    inputs_so_far += inputs
+                    joined.extend(inputs)
                     # a key absent from the table gets depth last, which never fits
-                    tried[key].append((1 + max(depths.get(k, last) for k in inputs), inputs_so_far))
+                    fits_ends.append((1 + max(depths.get(k, last) for k in inputs), len(joined)))
                     for k in inputs:
                         if k not in tried:
-                            tried[k] = []
+                            tried[k] = ([], [])
                             order.append(k)
         ends.append(len(order))
     below = dict.fromkeys(order, 1)  # budget 0: one call per key
@@ -165,11 +165,14 @@ def _solve_calls(graph: FoonGraph, goal: str, kitchen: Kitchen, depths: dict, la
     for budget in range(1, last + 1):
         calls = {}
         for key in order[: ends[last - budget + 1]]:
-            inputs = ()
+            joined, fits_ends = tried[key]
             # the first producer that fits ends the tries; if none fits, all were tried
-            for fits, inputs in tried[key]:
+            for fits, end in fits_ends:
                 if fits <= budget:
+                    inputs = joined[:end]
                     break
+            else:
+                inputs = joined
             calls[key] = 1 + sum(map(below.__getitem__, inputs))
         below = calls
         total += calls[goal]

@@ -195,6 +195,26 @@ def test_bad_labels_report_their_own_line(parser):
     expect_error(one_block(*head, "O\tcu}p"), "object name", line=4, parser=parser)
 
 
+@pytest.mark.parametrize(
+    "parser, lines, line, reason",
+    [
+        (parse_subgraph, ("O\tbowl", "S\tho,t\t{pep]per}"), 2,
+         "ingredient label 'pep]per' contains forbidden character(s) ']'"),
+        (parse_kitchen, ("O\tbowl", "S\tho,t\t{pep]per}"), 2,
+         "ingredient label 'pep]per' contains forbidden character(s) ']'"),
+        (parse_subgraph, ("S", "O\ta"), 1, "S line without a preceding O line"),
+        (parse_subgraph, ("O\ta", "M\tm", "M\tm\tnope", "O\tb", "//"), 3,
+         "unit has more than one motion line"),
+        (parse_subgraph, ("M\tbad{x", "O\ta", "//"), 1, "unit has no inputs"),
+        (parse_subgraph, ("O\ta", "M\tb{d\tnope", "O\tb", "//"), 2,
+         "motion label 'b{d' contains forbidden character(s) '{'"),
+        (parse_kitchen, ("O\ta", "M\tb{d\tnope"), 2, "motion line not allowed in kitchen file"),
+    ],
+)
+def test_a_line_with_two_faults_reports_the_one_checked_first(parser, lines, line, reason):
+    assert _error(parser, one_block(*lines)) == (line, reason)
+
+
 # --- intern table ---
 
 

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -598,6 +599,23 @@ def test_literal_count_takes_under_a_second_where_the_loop_took_hours():
         elapsed = time.perf_counter() - start
         assert (result.reason, result.expansions) == (DEPTH_LIMIT_EXHAUSTED, count)
         assert elapsed < 1.0, f"instance {index} took {elapsed:.3f}s"
+
+
+def test_literal_count_keeps_memory_linear_in_a_keys_producers():
+    # each producer's tries once stored every earlier producer's inputs
+    # again: a 73.5 MB peak here
+    graph = FoonGraph.from_units(
+        simple_unit([f"x {i}", f"y {i}"], f"make {i}", ["goal"]) for i in range(3000)
+    )
+    tracemalloc.start()
+    try:
+        result = retrieve_ids(graph, "goal", Kitchen(frozenset()), depth_limit=2, memoize=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # bound 0 makes 1 call, bound 1 makes 6,001 and bound 2 makes 6,001
+    assert (result.reason, result.expansions) == (DEPTH_LIMIT_EXHAUSTED, 12_003)
+    assert peak < 10_000_000, f"peak {peak / 1e6:.1f} MB"
 
 
 def greedy_worst_case(n):
