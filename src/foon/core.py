@@ -105,7 +105,8 @@ class FunctionalUnit:
     Inputs and outputs are non-empty and duplicate-free per side.
     ``input_keys`` and ``output_keys`` hold each side's node keys in order.
     Duplicate detection uses :meth:`identity`, which ignores input/output
-    ordering and the motion's success rate.
+    ordering and the motion's success rate; it is built once, at
+    construction, so adding one unit object many times sorts nothing.
     """
 
     inputs: tuple
@@ -125,14 +126,13 @@ class FunctionalUnit:
                 repeat = next(key for pos, key in enumerate(keys) if key in keys[:pos])
                 raise ValueError(f"duplicate {side} node {repeat}")
             object.__setattr__(self, side + "_keys", keys)
+        ins, outs = (tuple(sorted(keys)) for keys in (self.input_keys, self.output_keys))
+        # not a field: equality, hash and repr read the three fields alone
+        object.__setattr__(self, "_identity", (ins, self.motion.label, outs))
 
     def identity(self) -> tuple:
         """Dedup key: (sorted input keys, motion label, sorted output keys)."""
-        return (
-            tuple(sorted(self.input_keys)),
-            self.motion.label,
-            tuple(sorted(self.output_keys)),
-        )
+        return self._identity
 
 
 @dataclass(frozen=True)

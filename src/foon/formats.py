@@ -14,6 +14,8 @@ ordinary subgraphs plus `# goal:` / `# algorithm:` trailer comments, so a
 saved tree can be re-parsed, re-merged, or re-verified like any subgraph.
 """
 
+import re
+
 from .core import (
     FoonGraph,
     FunctionalUnit,
@@ -63,10 +65,10 @@ def _object(name: str, states: list, ingredients: set, nodes: dict) -> ObjectNod
     return nodes.get(key) or nodes.setdefault(key, ObjectNode(*key))
 
 
-def _records(text: str, source: str, nodes: dict):
+def _records(text: str, source: str, nodes: dict, start: int = 1):
     """Yield (line number, tag, value) records, minus comments and blanks.
 
-    An O line and the S lines after it fold into one ("O", ObjectNode)
+    The first line of text is line start. An O line and the S lines after it fold into one ("O", ObjectNode)
     record numbered by its last line. M lines yield ("M", fields) and unit
     separators ("//", None). The field helpers raise a plain ValueError;
     this loop's one handler attaches the line being read, so each label is
@@ -77,13 +79,16 @@ def _records(text: str, source: str, nodes: dict):
     each raw label that passed validation to its normalized text, and each
     normalized (name, states, ingredients) to its one ObjectNode, so a
     label is normalized, and a node built, once per table however often
-    the text repeats them. Only a built value enters the table, so the
-    table never changes what a text parses to or which error it reports.
-    Every interned value is truthy, so ``nodes.get(key) or
-    nodes.setdefault(key, build(...))`` builds on a miss only.
+    the text repeats them. :func:`parse_subgraph` keys unit blocks there
+    by their text, which ends in ``\n//``; a label has no newline, and
+    nodes and motions are keyed by tuples, so keys of two kinds never
+    meet. Only a built value enters the table, so the table never changes
+    what a text parses to or which error it reports. Every interned value
+    is truthy, so ``nodes.get(key) or nodes.setdefault(key, build(...))``
+    builds on a miss only.
     """
     name = None
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=start):
         record = raw.split("#", 1)[0].strip()
         if not record:
             continue
@@ -143,25 +148,10 @@ def _motion(fields: list, nodes: dict) -> MotionNode:
     return MotionNode(label, rate)
 
 
-def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = None) -> list:
-    """Parse the subgraph format into a list of FunctionalUnit in file order.
-
-    Duplicates are preserved; deduplication is FoonGraph's job.
-
-    nodes is the intern table that :func:`_records` describes; a fresh one
-    is made when none is given. Passing one dict to the parses of many
-    files, as ``foon merge`` does, normalizes each distinct label and builds
-    each distinct node once across all of them. Motions are interned in the
-    same table by their raw M fields, so the rate keeps its spelling
-    (``-0.0`` stays apart from ``0.0``). Like the record loop, the unit loop
-    attaches the line to a ValueError in one handler. The table never
-    changes the result: units, keys and errors are the same with or
-    without it.
-    """
-    if nodes is None:
-        nodes = {}
+def _units(text: str, source: str, nodes: dict, start: int) -> list:
+    """The units of text, whose first line is line start; errors as in _records."""
     units, inputs, outputs, motion = [], [], [], None
-    for line_no, tag, value in _records(text, source, nodes):
+    for line_no, tag, value in _records(text, source, nodes, start):
         try:
             if tag == "//":
                 # an M line needs inputs, so a unit without inputs has no records
@@ -187,6 +177,45 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
     if inputs:
         raise ParseError(source, line_no, "unterminated unit (missing //)")
     return units
+
+
+_HEADER = re.compile(r"(?:#[^\n]*\n)*")  # a file's leading comment lines
+
+
+def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = None) -> list:
+    """Parse the subgraph format into a list of FunctionalUnit in file order.
+
+    Duplicates are preserved; deduplication is FoonGraph's job.
+
+    nodes is the intern table that :func:`_records` describes. Passing one
+    dict to the parses of many files, as ``foon merge`` does, normalizes
+    each distinct label and builds each distinct node once across all of
+    them. Motions are interned by their raw M fields, so the rate keeps
+    its spelling (``-0.0`` stays apart from ``0.0``). Past the leading
+    ``#`` lines, each block of text up to a ``//`` line and its newline is
+    parsed once per table; a repeat returns the same unit objects. Both
+    loops start afresh after each ``//``, and only a block that parsed
+    enters the table, so units and errors, lines included, are the same
+    with or without it. Text after the last such line, and lines that
+    only look like one (``// # end``, CRLF), parse as before. Without a
+    table, the text parses in one pass through a fresh one.
+    """
+    if nodes is None:
+        # files that foon writes never repeat a block within one file
+        return _units(text, source, {}, 1)
+    units = []
+    pos = _HEADER.match(text).end()
+    line = text.count("\n", 0, pos) + 1
+    end = text.find("\n//\n", pos)
+    while end >= 0:
+        block = text[pos : end + 3]
+        units += nodes.get(block) or nodes.setdefault(
+            block, tuple(_units(block, source, nodes, line))
+        )
+        line += block.count("\n") + 1
+        pos = end + 4
+        end = text.find("\n//\n", pos)
+    return units + _units(text[pos:], source, nodes, line)
 
 
 def parse_kitchen(text: str, source: str = "<string>") -> Kitchen:

@@ -142,6 +142,13 @@ def test_identity_ignores_order_and_rate():
     assert u1.identity() != u3.identity()
 
 
+def test_identity_is_built_once_and_stays_out_of_equality():
+    unit = FunctionalUnit((stateless("b"), stateless("a")), MotionNode("mix"), (stateless("c"),))
+    assert unit.identity() is unit.identity() == (("a", "b"), "mix", ("c",))
+    assert unit == FunctionalUnit(unit.inputs, unit.motion, unit.outputs)
+    assert "identity" not in repr(unit)
+
+
 @pytest.mark.parametrize("side", ["input", "output"])
 def test_unit_names_the_first_key_that_repeats(side):
     # b{hot} repeats at position 2, before a repeats at position 3

@@ -305,9 +305,83 @@ def _interned(units, seen):
         assert seen.setdefault((motion.label, repr(motion.success_rate)), motion) is motion
 
 
+# the format's record tags and structural characters, plus text that
+# str.split/strip or float() treat specially
+_FUZZ_TOKENS = ["\t", "\n", "O", "S", "M", "//", "#", "{", "}", "[", "]", ",", "a", " ",
+                "\ufeff", "\r", "\x0b", "nan", "1e400", "0.5"]
+
+
+def _outcome(text, *table):
+    try:
+        return parse_subgraph(text, "test.foon", *table)
+    except ParseError as err:
+        return err.line, err.reason
+
+
+_BLOCK = one_block("O\tbowl", "S\tclean", "M\twash\t0.5", "O\tbowl", "S\tdry", "//")
+_BAD_BLOCK = one_block("O\tcup", "M\tfill\tnope", "O\tcup", "S\tfull", "//")
+
+
+@pytest.mark.parametrize("header", ["", "# recipe one\n", "# recipe two\n#\n# by hand\n"])
+@pytest.mark.parametrize("copies", [1, 3])
+def test_a_bad_block_after_cached_copies_reports_its_own_line(header, copies):
+    text = header + _BLOCK * copies + _BAD_BLOCK
+    line = header.count("\n") + 6 * copies + 2
+    want = (line, "success rate 'nope' is not a number")
+    nodes = {}
+    assert _outcome(header + _BLOCK * copies, nodes) == parse_subgraph(_BLOCK * copies)
+    assert _outcome(text) == _outcome(text, nodes) == _outcome(text, nodes) == want
+    assert _outcome(_BAD_BLOCK + text, nodes)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _BLOCK.replace("\n", "\r\n") * 2 + _BAD_BLOCK.replace("\n", "\r\n"),
+        _BLOCK.replace("\n", "\r\n") * 2,
+        (_BLOCK * 2).replace("//", "// # end") + _BAD_BLOCK,
+        (_BLOCK * 2).replace("//", " // ") + _BLOCK,
+        _BLOCK + _BLOCK.replace("//", " // ") + _BAD_BLOCK,
+        _BLOCK + "//\n" + _BLOCK,
+        _BLOCK[:-1],
+        _BLOCK + _BLOCK[:-4],
+    ],
+)
+def test_lines_that_only_read_like_separators_parse_alike_with_a_shared_table(text):
+    nodes = {}
+    _outcome(_BLOCK * 2, nodes)
+    alone = _outcome(text)
+    assert _outcome(text, nodes) == _outcome(text, nodes) == alone
+
+
+def test_a_block_never_hits_a_label_of_the_same_text():
+    nodes = {}
+    parse_subgraph(one_block("O\tabc", "M\tm", "O\tb", "//"), "one", nodes)
+    assert "abc" in nodes
+    want = (1, "unrecognized record 'abc'")
+    assert _outcome("abc\n//\n", nodes) == _outcome("abc\n//\n") == want
+    # a block key ends in "\n//" and a label has no newline
+    assert all(not isinstance(key, str) or "\n" not in key or key.endswith("\n//")
+               for key in nodes)
+
+
+def test_copies_of_a_block_across_files_build_one_unit(monkeypatch):
+    built = []
+    unit = foon.formats.FunctionalUnit
+    monkeypatch.setattr(foon.formats, "FunctionalUnit",
+                        lambda *args: built.append(args) or unit(*args))
+    nodes = {}
+    first = parse_subgraph("# recipe a\n" + _BLOCK * 3, "a", nodes)
+    second = parse_subgraph("# recipe b\n# annotated twice\n" + _BLOCK * 2, "b", nodes)
+    assert len(built) == 1
+    assert all(got is first[0] for got in first + second)
+    assert first + second == parse_subgraph(_BLOCK * 5)
+
+
 @settings(max_examples=60)
-@given(st.randoms(use_true_random=False), st.randoms(use_true_random=False))
-def test_intern_table_never_changes_the_parse(rng, other_rng):
+@given(st.randoms(use_true_random=False), st.randoms(use_true_random=False),
+       st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=30).map("".join))
+def test_intern_table_never_changes_the_parse(rng, other_rng, tail):
     text = serialize_graph(random_textured_graph(rng))
     other = serialize_graph(random_textured_graph(other_rng))
     alone = parse_subgraph(text)
@@ -322,12 +396,10 @@ def test_intern_table_never_changes_the_parse(rng, other_rng):
     _interned(alone, {})
     _interned(first + second, {})
     _interned(from_other + after_other, {})
+    # valid blocks, then arbitrary text: the same units or the same error
+    fuzzed = text + tail
+    assert _outcome(fuzzed, prefilled) == _outcome(fuzzed, prefilled) == _outcome(fuzzed)
 
-
-# the format's record tags and structural characters, plus text that
-# str.split/strip or float() treat specially
-_FUZZ_TOKENS = ["\t", "\n", "O", "S", "M", "//", "#", "{", "}", "[", "]", ",", "a", " ",
-                "\ufeff", "\r", "\x0b", "nan", "1e400", "0.5"]
 
 
 @settings(max_examples=300)
