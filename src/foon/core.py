@@ -126,9 +126,9 @@ class FunctionalUnit:
                 repeat = next(key for pos, key in enumerate(keys) if key in keys[:pos])
                 raise ValueError(f"duplicate {side} node {repeat}")
             object.__setattr__(self, side + "_keys", keys)
-        ins, outs = (tuple(sorted(keys)) for keys in (self.input_keys, self.output_keys))
         # not a field: equality, hash and repr read the three fields alone
-        object.__setattr__(self, "_identity", (ins, self.motion.label, outs))
+        object.__setattr__(self, "_identity", (
+            tuple(sorted(self.input_keys)), self.motion.label, tuple(sorted(self.output_keys))))
 
     def identity(self) -> tuple:
         """Dedup key: (sorted input keys, motion label, sorted output keys)."""

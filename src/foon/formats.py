@@ -68,12 +68,13 @@ def _object(name: str, states: list, ingredients: set, nodes: dict) -> ObjectNod
 def _records(text: str, source: str, nodes: dict, start: int = 1):
     """Yield (line number, tag, value) records, minus comments and blanks.
 
-    The first line of text is line start. An O line and the S lines after it fold into one ("O", ObjectNode)
-    record numbered by its last line. M lines yield ("M", fields) and unit
-    separators ("//", None). The field helpers raise a plain ValueError;
-    this loop's one handler attaches the line being read, so each label is
-    reported on its own line. Nothing else here raises ValueError: the
-    ObjectNode of a finished record gets labels already normalized.
+    The first line of text is line start. An O line and the S lines after
+    it fold into one ("O", ObjectNode) record numbered by its last line. M
+    lines yield ("M", fields) and unit separators ("//", None). The field
+    helpers raise a plain ValueError; this loop's one handler attaches the
+    line being read, so each label is reported on its own line. Nothing
+    else here raises ValueError: the ObjectNode of a finished record gets
+    labels already normalized.
 
     nodes is the intern table, a plain dict owned by the caller. It maps
     each raw label that passed validation to its normalized text, and each
@@ -198,11 +199,9 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
     enters the table, so units and errors, lines included, are the same
     with or without it. Text after the last such line, and lines that
     only look like one (``// # end``, CRLF), parse as before. Without a
-    table, the text parses in one pass through a fresh one.
+    table, the text parses through a fresh one.
     """
-    if nodes is None:
-        # files that foon writes never repeat a block within one file
-        return _units(text, source, {}, 1)
+    nodes = {} if nodes is None else nodes
     units = []
     pos = _HEADER.match(text).end()
     line = text.count("\n", 0, pos) + 1

@@ -311,11 +311,16 @@ _FUZZ_TOKENS = ["\t", "\n", "O", "S", "M", "//", "#", "{", "}", "[", "]", ",", "
                 "\ufeff", "\r", "\x0b", "nan", "1e400", "0.5"]
 
 
-def _outcome(text, *table):
+def _outcome(text, *table, parse=parse_subgraph):
     try:
-        return parse_subgraph(text, "test.foon", *table)
+        return parse(text, "test.foon", *table)
     except ParseError as err:
         return err.line, err.reason
+
+
+def _one_pass(text, source):
+    # the reference: the unit loop over the whole text, not cut into blocks
+    return foon.formats._units(text, source, {}, 1)
 
 
 _BLOCK = one_block("O\tbowl", "S\tclean", "M\twash\t0.5", "O\tbowl", "S\tdry", "//")
@@ -350,8 +355,8 @@ def test_a_bad_block_after_cached_copies_reports_its_own_line(header, copies):
 def test_lines_that_only_read_like_separators_parse_alike_with_a_shared_table(text):
     nodes = {}
     _outcome(_BLOCK * 2, nodes)
-    alone = _outcome(text)
-    assert _outcome(text, nodes) == _outcome(text, nodes) == alone
+    alone = _outcome(text, parse=_one_pass)
+    assert _outcome(text) == _outcome(text, nodes) == _outcome(text, nodes) == alone
 
 
 def test_a_block_never_hits_a_label_of_the_same_text():
@@ -399,7 +404,7 @@ def test_intern_table_never_changes_the_parse(rng, other_rng, tail):
     # valid blocks, then arbitrary text: the same units or the same error
     fuzzed = text + tail
     assert _outcome(fuzzed, prefilled) == _outcome(fuzzed, prefilled) == _outcome(fuzzed)
-
+    assert _outcome(fuzzed) == _outcome(fuzzed, parse=_one_pass)
 
 
 @settings(max_examples=300)
