@@ -61,22 +61,29 @@ class ObjectNode:
     ingredients: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "name", normalize_label(self.name, "object name"))
-        object.__setattr__(
-            self,
-            "states",
-            frozenset(normalize_label(s, "state label") for s in self.states),
+        self._set(
+            normalize_label(self.name, "object name"),
+            sorted({normalize_label(s, "state label") for s in self.states}),
+            sorted({normalize_label(i, "ingredient label") for i in self.ingredients}),
         )
-        object.__setattr__(
-            self,
-            "ingredients",
-            frozenset(normalize_label(i, "ingredient label") for i in self.ingredients),
-        )
-        key = self.name
-        if self.states:
-            key += "{" + ",".join(sorted(self.states)) + "}"
-        if self.ingredients:
-            key += "[" + ",".join(sorted(self.ingredients)) + "]"
+
+    @classmethod
+    def _normalized(cls, name: str, states: list, ingredients: list) -> "ObjectNode":
+        """The node of normalized labels, each side sorted without repeats; none is checked."""
+        node = object.__new__(cls)
+        node._set(name, states, ingredients)
+        return node
+
+    def _set(self, name, states, ingredients):
+        # frozensets built from sorted labels iterate, and so print, alike
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "states", frozenset(states))
+        object.__setattr__(self, "ingredients", frozenset(ingredients))
+        key = name
+        if states:
+            key += "{" + ",".join(states) + "}"
+        if ingredients:
+            key += "[" + ",".join(ingredients) + "]"
         object.__setattr__(self, "key", key)
 
 
@@ -183,7 +190,7 @@ class FoonGraph:
     def from_units(cls, units) -> "FoonGraph":
         graph = cls()
         for unit in units:
-            graph.add_unit(unit)
+            graph._add(unit)
         return graph
 
     def _register(self, obj: ObjectNode) -> int:
@@ -204,6 +211,10 @@ class FoonGraph:
         keeps the maximum of the two success rates; the existing id is
         returned.
         """
+        count = len(self.units)
+        return AddResult(self._add(unit), len(self.units) > count)
+
+    def _add(self, unit: FunctionalUnit) -> int:
         ident = unit.identity()
         existing = self._unit_index.get(ident)
         if existing is not None:
@@ -218,7 +229,7 @@ class FoonGraph:
                 )
                 # h1 reads the rate; depths do not
                 self._picks = {}
-            return AddResult(existing, False)
+            return existing
         uid = len(self.units)
         self.units.append(unit)
         self._unit_index[ident] = uid
@@ -227,7 +238,7 @@ class FoonGraph:
             self.consumers[self._register(obj)].append(uid)
         for obj in unit.outputs:
             self.producers[self._register(obj)].append(uid)
-        return AddResult(uid, True)
+        return uid
 
     def producers_of(self, key: str) -> list[int]:
         """Unit ids whose outputs contain the key, in insertion order."""

@@ -48,98 +48,64 @@ class ParseError(Exception):
         self.reason = reason
 
 
-def _parse_ingredients(field: str, nodes: dict) -> list:
+def _label(raw: str, what: str, nodes: dict) -> str:
+    return nodes.get(raw) or nodes.setdefault(raw, normalize_label(raw, what))
+
+
+def _parse_ingredients(field: str, nodes: dict) -> tuple:
     if len(field) < 2 or field[0] != "{" or field[-1] != "}":
         raise ValueError(f"ingredient set {field!r} must be {{a,b,...}}")
     inner = field[1:-1]
     if not inner.strip():
         raise ValueError("empty ingredient set")
-    return [
-        nodes.get(part) or nodes.setdefault(part, normalize_label(part, "ingredient label"))
-        for part in inner.split(",")
-    ]
+    return tuple(_label(part, "ingredient label", nodes) for part in inner.split(","))
+
+
+_NO_OBJECT = "S line without a preceding O line"
+
+
+def _line(raw: str, nodes: dict, orphan: bool):
+    """The record of one raw line, or None for a blank or comment line.
+
+    An O line gives ("O", name) and an S line ("S", state or None, ingredients),
+    labels normalized; an M line gives its fields, which the unit loop checks,
+    and "//" gives ("//",). With orphan no object is open: an S line fails first.
+    """
+    record = raw.split("#", 1)[0].strip()
+    if not record:
+        return None
+    fields = record.split("\t")
+    tag = fields[0]
+    if tag == "S":
+        if orphan:
+            raise ValueError(_NO_OBJECT)
+        if len(fields) not in (2, 3):
+            raise ValueError("S line must be 'S<TAB>state' or 'S<TAB>state<TAB>{ings}'")
+        ingredients = _parse_ingredients(fields[2], nodes) if len(fields) == 3 else ()
+        # blank only beside an ingredient set: the stripped record ends in it
+        state = fields[1]
+        return "S", _label(state, "state label", nodes) if state.strip() else None, ingredients
+    if tag == "O":
+        if len(fields) != 2:
+            raise ValueError("O line must be 'O<TAB>name'")
+        return "O", _label(fields[1], "object name", nodes)
+    if record == "//":
+        return ("//",)
+    if tag == "M":
+        return tuple(fields)
+    raise ValueError(f"unrecognized record {tag!r}")
 
 
 def _object(name: str, states: list, ingredients: set, nodes: dict) -> ObjectNode:
     key = (name, frozenset(states), frozenset(ingredients))
-    return nodes.get(key) or nodes.setdefault(key, ObjectNode(*key))
+    return nodes.get(key) or nodes.setdefault(
+        key, ObjectNode._normalized(name, sorted(key[1]), sorted(key[2])))
 
 
-def _records(text: str, source: str, nodes: dict, start: int = 1):
-    """Yield (line number, tag, value) records, minus comments and blanks.
-
-    The first line of text is line start. An O line and the S lines after
-    it fold into one ("O", ObjectNode) record numbered by its last line. M
-    lines yield ("M", fields) and unit separators ("//", None). The field
-    helpers raise a plain ValueError; this loop's one handler attaches the
-    line being read, so each label is reported on its own line. Nothing
-    else here raises ValueError: the ObjectNode of a finished record gets
-    labels already normalized.
-
-    nodes is the intern table, a plain dict owned by the caller. It maps
-    each raw label that passed validation to its normalized text, and each
-    normalized (name, states, ingredients) to its one ObjectNode, so a
-    label is normalized, and a node built, once per table however often
-    the text repeats them. :func:`parse_subgraph` keys unit blocks there
-    by their text, which ends in ``\n//``; a label has no newline, and
-    nodes and motions are keyed by tuples, so keys of two kinds never
-    meet. Only a built value enters the table, so the table never changes
-    what a text parses to or which error it reports. Every interned value
-    is truthy, so ``nodes.get(key) or nodes.setdefault(key, build(...))``
-    builds on a miss only.
-    """
-    name = None
-    for line_no, raw in enumerate(text.split("\n"), start=start):
-        record = raw.split("#", 1)[0].strip()
-        if not record:
-            continue
-        fields = record.split("\t")
-        tag = fields[0]
-        try:
-            if tag == "S":
-                if name is None:
-                    raise ValueError("S line without a preceding O line")
-                if len(fields) not in (2, 3):
-                    raise ValueError("S line must be 'S<TAB>state' or 'S<TAB>state<TAB>{ings}'")
-                if len(fields) == 3:
-                    ingredients.update(_parse_ingredients(fields[2], nodes))
-                state = fields[1]
-                # blank only beside an ingredient set: the stripped record ends in it
-                if state.strip():
-                    states.append(
-                        nodes.get(state)
-                        or nodes.setdefault(state, normalize_label(state, "state label"))
-                    )
-                last_line = line_no
-                continue
-            if name is not None:
-                yield last_line, "O", _object(name, states, ingredients, nodes)
-                name = None
-            if tag == "O":
-                if len(fields) != 2:
-                    raise ValueError("O line must be 'O<TAB>name'")
-                label = fields[1]
-                name = nodes.get(label) or nodes.setdefault(
-                    label, normalize_label(label, "object name")
-                )
-                states, ingredients, last_line = [], set(), line_no
-            elif record == "//":
-                yield line_no, "//", None
-            elif tag == "M":
-                yield line_no, "M", fields
-            else:
-                raise ValueError(f"unrecognized record {tag!r}")
-        except ValueError as exc:
-            raise ParseError(source, line_no, str(exc)) from None
-    if name is not None:
-        yield last_line, "O", _object(name, states, ingredients, nodes)
-
-
-def _motion(fields: list, nodes: dict) -> MotionNode:
+def _motion(fields: tuple, nodes: dict) -> MotionNode:
     if len(fields) not in (2, 3):
         raise ValueError("M line must be 'M<TAB>label' or 'M<TAB>label<TAB>rate'")
-    raw = fields[1]
-    label = nodes.get(raw) or nodes.setdefault(raw, normalize_label(raw, "motion label"))
+    label = _label(fields[1], "motion label", nodes)
     rate = 1.0
     if len(fields) == 3:
         try:
@@ -149,34 +115,77 @@ def _motion(fields: list, nodes: dict) -> MotionNode:
     return MotionNode(label, rate)
 
 
-def _units(text: str, source: str, nodes: dict, start: int) -> list:
-    """The units of text, whose first line is line start; errors as in _records."""
-    units, inputs, outputs, motion = [], [], [], None
-    for line_no, tag, value in _records(text, source, nodes, start):
+def _units(text: str, source: str, nodes: dict, start: int, kitchen: bool = False) -> list:
+    """The units of text, whose first line is line start; with kitchen, its objects.
+
+    An O line and the S lines after it fold into one ObjectNode: the ones
+    before a unit's M line are its inputs, the rest its outputs. A kitchen's
+    M lines are errors and its ``//`` lines end no unit. An error is raised
+    as a ParseError on the line read; "unterminated" on the last record.
+
+    nodes is the intern table, a plain dict owned by the caller. It maps each
+    raw label that passed to its normalized text, each accepted line with a
+    tab to its :func:`_line` record, each (name, states, ingredients) to its
+    one ObjectNode and each M line's fields to its one MotionNode. A label
+    has no tab, a line no newline, a block (see :func:`parse_subgraph`) ends
+    in ``\\n//``, and nodes and motions are tuples, so no two kinds of key
+    meet. A line from the table skips only its own fields' checks. Only a
+    built value enters the table, so it never changes a parse or its error,
+    and every value is truthy: ``nodes.get(key) or nodes.setdefault(key,
+    build(...))`` builds on a miss only.
+    """
+    units, objs, name, motion = [], [], None, None
+    for line_no, raw in enumerate(text.split("\n"), start):
+        record = nodes.get(raw) if "\t" in raw else None
+        fresh = record is None
         try:
-            if tag == "//":
-                # an M line needs inputs, so a unit without inputs has no records
-                if not inputs:
-                    raise ValueError("empty functional unit")
-                if motion is None:
-                    raise ValueError("unit has no motion line")
-                if not outputs:
-                    raise ValueError("unit has no outputs")
-                units.append(FunctionalUnit(tuple(inputs), motion, tuple(outputs)))
-                inputs, outputs, motion = [], [], None
-            elif tag == "O":
-                (outputs if motion is not None else inputs).append(value)
-            elif motion is not None:
-                raise ValueError("unit has more than one motion line")
-            elif not inputs:
-                raise ValueError("unit has no inputs")
+            if fresh:
+                record = _line(raw, nodes, name is None)
+                if record is None:
+                    continue
+            tag = record[0]
+            if tag == "S":
+                if name is None:
+                    raise ValueError(_NO_OBJECT)
+                if record[1]:
+                    states.append(record[1])
+                contents.update(record[2])
+                last = line_no
             else:
-                key = tuple(value)
-                motion = nodes.get(key) or nodes.setdefault(key, _motion(value, nodes))
+                if name is not None:
+                    objs.append(_object(name, states, contents, nodes))
+                    name = None
+                if tag == "O":
+                    name, states, contents, last = record[1], [], set(), line_no
+                elif tag == "M":
+                    if kitchen:
+                        raise ValueError("motion line not allowed in kitchen file")
+                    if motion is not None:
+                        raise ValueError("unit has more than one motion line")
+                    if not objs:
+                        raise ValueError("unit has no inputs")
+                    motion = nodes.get(record) or nodes.setdefault(record, _motion(record, nodes))
+                    split, last = len(objs), line_no
+                elif not kitchen:
+                    # "//" ends a unit; an M line needs inputs, so one without inputs is empty
+                    if not objs:
+                        raise ValueError("empty functional unit")
+                    if motion is None:
+                        raise ValueError("unit has no motion line")
+                    if len(objs) == split:
+                        raise ValueError("unit has no outputs")
+                    units.append(FunctionalUnit(tuple(objs[:split]), motion, tuple(objs[split:])))
+                    objs, motion = [], None
         except ValueError as exc:
             raise ParseError(source, line_no, str(exc)) from None
-    if inputs:
-        raise ParseError(source, line_no, "unterminated unit (missing //)")
+        if fresh and "\t" in raw:
+            nodes[raw] = record
+    if name is not None:
+        objs.append(_object(name, states, contents, nodes))
+    if kitchen:
+        return objs
+    if objs:
+        raise ParseError(source, last, "unterminated unit (missing //)")
     return units
 
 
@@ -188,14 +197,14 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
 
     Duplicates are preserved; deduplication is FoonGraph's job.
 
-    nodes is the intern table that :func:`_records` describes. Passing one
-    dict to the parses of many files, as ``foon merge`` does, normalizes
-    each distinct label and builds each distinct node once across all of
-    them. Motions are interned by their raw M fields, so the rate keeps
-    its spelling (``-0.0`` stays apart from ``0.0``). Past the leading
+    nodes is the intern table that :func:`_units` describes. Passing one
+    dict to the parses of many files, as ``foon merge`` does, reads each
+    distinct line and builds each distinct node once across all of them.
+    Motions are interned by their raw M fields, so the rate keeps its
+    spelling (``-0.0`` stays apart from ``0.0``). Past the leading
     ``#`` lines, each block of text up to a ``//`` line and its newline is
-    parsed once per table; a repeat returns the same unit objects. Both
-    loops start afresh after each ``//``, and only a block that parsed
+    parsed once per table; a repeat returns the same unit objects. The
+    loop starts afresh after each ``//``, and only a block that parsed
     enters the table, so units and errors, lines included, are the same
     with or without it. Text after the last such line, and lines that
     only look like one (``// # end``, CRLF), parse as before. Without a
@@ -223,13 +232,7 @@ def parse_kitchen(text: str, source: str = "<string>") -> Kitchen:
     Duplicate items collapse silently; `//` separators are tolerated but
     not required.
     """
-    keys = set()
-    for line_no, tag, value in _records(text, source, {}):
-        if tag == "O":
-            keys.add(value.key)
-        elif tag == "M":
-            raise ParseError(source, line_no, "motion line not allowed in kitchen file")
-    return Kitchen(frozenset(keys))
+    return Kitchen(frozenset(obj.key for obj in _units(text, source, {}, 1, kitchen=True)))
 
 
 def _object_lines(obj: ObjectNode) -> list:

@@ -18,6 +18,7 @@ from foon import (
     ParseError,
     TaskTree,
     export_dot,
+    normalize_label,
     parse_kitchen,
     parse_subgraph,
     serialize_graph,
@@ -300,6 +301,9 @@ def _interned(units, seen):
         for node in unit.inputs + unit.outputs:
             fresh = ObjectNode(node.name, node.states, node.ingredients)
             assert node == fresh and node.key == fresh.key
+            assert hash(node) == hash(fresh) and repr(node) == repr(fresh)
+            # _text is the serializer's cache of the node's lines
+            assert [name for name in vars(node) if name != "_text"] == list(vars(fresh))
             assert seen.setdefault(node.key, node) is node
         motion = unit.motion
         assert seen.setdefault((motion.label, repr(motion.success_rate)), motion) is motion
@@ -368,6 +372,53 @@ def test_a_block_never_hits_a_label_of_the_same_text():
     # a block key ends in "\n//" and a label has no newline
     assert all(not isinstance(key, str) or "\n" not in key or key.endswith("\n//")
                for key in nodes)
+
+
+# a block whose lines with a tab (comments included) enter the line table
+_SEEN = one_block("O\tbowl", "S\tclean", "M\twash\t0.5 # by hand", "O\tbowl",
+                  "S\tdry  # rinsed", "//")
+
+
+@pytest.mark.parametrize(
+    "lines, line, reason",
+    [
+        (("S\tclean", "O\tbowl", "M\twash\t0.5 # by hand", "O\tbowl", "//"), 1,
+         "S line without a preceding O line"),
+        (("O\tbowl", "M\twash\t0.5 # by hand", "S\tdry  # rinsed", "O\tbowl", "//"), 3,
+         "S line without a preceding O line"),
+        (("O\tbowl", "M\twash\t0.5 # by hand", "M\twash\t0.5 # by hand", "O\tbowl", "//"), 3,
+         "unit has more than one motion line"),
+        (("O\tbowl", "S\tclean", "O\tbowl", "S\tclean", "M\twash\t0.5 # by hand", "O\tbowl",
+          "//"), 7, "duplicate input node bowl{clean}"),
+        (("M\twash\t0.5 # by hand", "O\tbowl", "//"), 1, "unit has no inputs"),
+    ],
+)
+def test_a_seen_line_where_it_is_an_error_reports_as_in_a_fresh_parse(lines, line, reason):
+    prefilled = {}
+    parse_subgraph(_SEEN, "seen", prefilled)
+    assert all(raw in prefilled for raw in lines if "\t" in raw)
+    text = _SEEN + one_block(*lines)
+    want = (6 + line, reason)
+    assert _outcome(text, prefilled) == _outcome(text) == _outcome(text, parse=_one_pass) == want
+
+
+def test_a_new_block_of_seen_lines_reads_no_field_and_normalizes_no_label(monkeypatch):
+    nodes = {}
+    parse_subgraph(_SEEN, "seen", nodes)
+    # bowl{clean,dry} is a node the table has not built yet
+    text = one_block("O\tbowl", "S\tclean", "S\tdry  # rinsed", "M\twash\t0.5 # by hand",
+                     "O\tbowl", "//")
+    want = parse_subgraph(text)
+    calls, read = [], []
+    for module in (foon.formats, foon.core):
+        monkeypatch.setattr(module, "normalize_label", lambda *args, normalize=normalize_label:
+                            calls.append(args) or normalize(*args))
+    line = foon.formats._line
+    monkeypatch.setattr(foon.formats, "_line",
+                        lambda raw, *rest: read.append(raw) or line(raw, *rest))
+    assert parse_subgraph(text, "new", nodes) == want
+    # only the lines without a tab are read: the separator and the text after it
+    assert calls == [] and read == ["//", ""]
 
 
 def test_copies_of_a_block_across_files_build_one_unit(monkeypatch):
