@@ -55,8 +55,8 @@ def _write(path, text: str):
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _load_graph(path: str) -> FoonGraph:
-    return FoonGraph.from_units(parse_subgraph(_read(path), path))
+def _load_graph(path: str, nodes: dict | None = None) -> FoonGraph:
+    return FoonGraph.from_units(parse_subgraph(_read(path), path, nodes))
 
 
 def _plural(count: int, noun: str) -> str:
@@ -206,10 +206,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    graph = _load_graph(args.graph)
+    nodes = {}  # one intern table: a tree block that the graph holds parses to the graph's unit
+    graph = _load_graph(args.graph, nodes)
     kitchen = parse_kitchen(_read(args.kitchen), args.kitchen)
     goal = resolve_goal(args.goal, graph, kitchen)
-    tree_units = parse_subgraph(_read(args.tree), args.tree)
+    tree_units = parse_subgraph(_read(args.tree), args.tree, nodes)
     unit_ids = []
     for pos, unit in enumerate(tree_units):
         uid = graph.find_unit(unit)

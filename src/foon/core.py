@@ -63,13 +63,13 @@ class ObjectNode:
     def __post_init__(self):
         self._set(
             normalize_label(self.name, "object name"),
-            sorted({normalize_label(s, "state label") for s in self.states}),
-            sorted({normalize_label(i, "ingredient label") for i in self.ingredients}),
+            frozenset(sorted({normalize_label(s, "state label") for s in self.states})),
+            frozenset(sorted({normalize_label(i, "ingredient label") for i in self.ingredients})),
         )
 
     @classmethod
-    def _normalized(cls, name: str, states: list, ingredients: list) -> "ObjectNode":
-        """The node of normalized labels, each side sorted without repeats; none is checked."""
+    def _normalized(cls, name: str, states: frozenset, ingredients: frozenset) -> "ObjectNode":
+        """The node of normalized labels, each set built from them sorted; none is checked."""
         node = object.__new__(cls)
         node._set(name, states, ingredients)
         return node
@@ -77,13 +77,13 @@ class ObjectNode:
     def _set(self, name, states, ingredients):
         # frozensets built from sorted labels iterate, and so print, alike
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "states", frozenset(states))
-        object.__setattr__(self, "ingredients", frozenset(ingredients))
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "ingredients", ingredients)
         key = name
         if states:
-            key += "{" + ",".join(states) + "}"
+            key += "{" + ",".join(sorted(states)) + "}"
         if ingredients:
-            key += "[" + ",".join(ingredients) + "]"
+            key += "[" + ",".join(sorted(ingredients)) + "]"
         object.__setattr__(self, "key", key)
 
 
@@ -121,21 +121,25 @@ class FunctionalUnit:
     outputs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        if not self.inputs:
+        for side in ("inputs", "outputs"):
+            if type(getattr(self, side)) is not tuple:
+                object.__setattr__(self, side, tuple(getattr(self, side)))
+        inputs, outputs = self.inputs, self.outputs
+        if not inputs:
             raise ValueError("functional unit has no inputs")
-        if not self.outputs:
+        if not outputs:
             raise ValueError("functional unit has no outputs")
-        for side, objs in (("input", self.inputs), ("output", self.outputs)):
-            keys = tuple(obj.key for obj in objs)
+        ordered = []
+        for side, objs in (("input", inputs), ("output", outputs)):
+            keys = tuple([obj.key for obj in objs])
             if len(set(keys)) < len(keys):
                 repeat = next(key for pos, key in enumerate(keys) if key in keys[:pos])
                 raise ValueError(f"duplicate {side} node {repeat}")
             object.__setattr__(self, side + "_keys", keys)
+            in_order = tuple(sorted(keys))
+            ordered.append(keys if in_order == keys else in_order)  # a sorted side is shared
         # not a field: equality, hash and repr read the three fields alone
-        object.__setattr__(self, "_identity", (
-            tuple(sorted(self.input_keys)), self.motion.label, tuple(sorted(self.output_keys))))
+        object.__setattr__(self, "_identity", (ordered[0], self.motion.label, ordered[1]))
 
     def identity(self) -> tuple:
         """Dedup key: (sorted input keys, motion label, sorted output keys)."""

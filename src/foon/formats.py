@@ -98,8 +98,8 @@ def _line(raw: str, nodes: dict, orphan: bool):
 
 def _object(name: str, states: list, ingredients: set, nodes: dict) -> ObjectNode:
     key = (name, frozenset(states), frozenset(ingredients))
-    return nodes.get(key) or nodes.setdefault(
-        key, ObjectNode._normalized(name, sorted(key[1]), sorted(key[2])))
+    return nodes.get(key) or nodes.setdefault(key, ObjectNode._normalized(
+        name, *(nodes.setdefault(labels, frozenset(sorted(labels))) for labels in key[1:])))
 
 
 def _motion(fields: tuple, nodes: dict) -> MotionNode:
@@ -122,17 +122,7 @@ def _units(text: str, source: str, nodes: dict, start: int, kitchen: bool = Fals
     before a unit's M line are its inputs, the rest its outputs. A kitchen's
     M lines are errors and its ``//`` lines end no unit. An error is raised
     as a ParseError on the line read; "unterminated" on the last record.
-
-    nodes is the intern table, a plain dict owned by the caller. It maps each
-    raw label that passed to its normalized text, each accepted line with a
-    tab to its :func:`_line` record, each (name, states, ingredients) to its
-    one ObjectNode and each M line's fields to its one MotionNode. A label
-    has no tab, a line no newline, a block (see :func:`parse_subgraph`) ends
-    in ``\\n//``, and nodes and motions are tuples, so no two kinds of key
-    meet. A line from the table skips only its own fields' checks. Only a
-    built value enters the table, so it never changes a parse or its error,
-    and every value is truthy: ``nodes.get(key) or nodes.setdefault(key,
-    build(...))`` builds on a miss only.
+    nodes is the intern table that :func:`parse_subgraph` describes.
     """
     units, objs, name, motion = [], [], None, None
     for line_no, raw in enumerate(text.split("\n"), start):
@@ -197,18 +187,25 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
 
     Duplicates are preserved; deduplication is FoonGraph's job.
 
-    nodes is the intern table that :func:`_units` describes. Passing one
-    dict to the parses of many files, as ``foon merge`` does, reads each
-    distinct line and builds each distinct node once across all of them.
-    Motions are interned by their raw M fields, so the rate keeps its
-    spelling (``-0.0`` stays apart from ``0.0``). Past the leading
-    ``#`` lines, each block of text up to a ``//`` line and its newline is
-    parsed once per table; a repeat returns the same unit objects. The
-    loop starts afresh after each ``//``, and only a block that parsed
-    enters the table, so units and errors, lines included, are the same
-    with or without it. Text after the last such line, and lines that
-    only look like one (``// # end``, CRLF), parse as before. Without a
-    table, the text parses through a fresh one.
+    nodes is the intern table, a plain dict owned by the caller; without
+    one the text parses through a fresh one. Passed to the parses of many
+    files, as ``foon merge`` does, one table reads each distinct line,
+    builds each distinct node and parses each distinct block once across
+    all of them. It maps each raw label that passed to its normalized
+    text, each accepted line with a tab to its :func:`_line` record, each
+    (name, states, ingredients) to its one ObjectNode, each set of states
+    or ingredients to the one frozenset its nodes share, each M line's raw
+    fields to its one MotionNode (so ``-0.0`` stays apart from ``0.0``),
+    and, past the leading ``#`` lines, each block of text through a ``//``
+    line to the tuple of its units. A label has no tab, a line no newline,
+    a block ends in ``\\n//``, nodes and motions are tuples and label sets
+    are frozensets, so no two kinds of key meet. The loop starts afresh
+    after each ``//``, a line from the table skips only its own fields'
+    checks, and only a built value enters it, so units and errors, lines
+    included, are the same with or without it. Text after the last ``//``
+    line, and lines that only look like one (``// # end``, CRLF), parse as
+    before. Every value but the empty set is truthy: ``nodes.get(key) or
+    nodes.setdefault(key, build(...))`` builds on a miss only.
     """
     nodes = {} if nodes is None else nodes
     units = []
@@ -263,20 +260,20 @@ def _object_text(obj: ObjectNode) -> str:
     return text
 
 
-def _unit_lines(unit: FunctionalUnit) -> list:
-    lines = [_object_text(obj) for obj in unit.inputs]
-    lines.append(f"M\t{unit.motion.label}\t{unit.motion.success_rate!r}")
-    lines.extend(_object_text(obj) for obj in unit.outputs)
-    lines.append("//")
-    return lines
+def _unit_text(unit: FunctionalUnit) -> str:
+    """The lines of unit through its ``//``, kept on it as :func:`_object_text` keeps a node's."""
+    # never stale: the fields are frozen, and a raised rate replaces the unit (FoonGraph._add)
+    text = unit.__dict__.get("_text")
+    if text is None:
+        motion = f"M\t{unit.motion.label}\t{unit.motion.success_rate!r}"
+        lines = [*map(_object_text, unit.inputs), motion, *map(_object_text, unit.outputs), "//"]
+        text = unit.__dict__["_text"] = "\n".join(lines)
+    return text
 
 
 def serialize_graph(graph: FoonGraph) -> str:
     """Canonical text for a graph; parse_subgraph inverts it exactly."""
-    lines = ["# foon subgraph"]
-    for unit in graph.units:
-        lines.extend(_unit_lines(unit))
-    return "\n".join(lines) + "\n"
+    return "\n".join(["# foon subgraph", *map(_unit_text, graph.units), ""])
 
 
 def serialize_task_tree(graph: FoonGraph, tree: TaskTree, kitchen=None, algorithm=None) -> str:
@@ -293,10 +290,8 @@ def serialize_task_tree(graph: FoonGraph, tree: TaskTree, kitchen=None, algorith
         violation = verify_task_tree(graph, tree, kitchen, tree.goal_key)
     if violation is not None:
         raise ValueError(str(violation))
-    lines = ["# foon task tree"]
-    for uid in tree.unit_ids:
-        lines.extend(_unit_lines(graph.units[uid]))
-    lines.append(f"# goal: {tree.goal_key}")
+    units = [_unit_text(graph.units[uid]) for uid in tree.unit_ids]
+    lines = ["# foon task tree", *units, f"# goal: {tree.goal_key}"]
     if algorithm is not None:
         lines.append(f"# algorithm: {algorithm}")
     return "\n".join(lines) + "\n"

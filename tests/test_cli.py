@@ -467,6 +467,21 @@ def test_verify_accepts_empty_tree_for_kitchen_goal(tmp_path, capsys):
     assert "valid task tree: 0 functional units" in capsys.readouterr().err
 
 
+def test_verify_reads_the_graphs_blocks_in_a_saved_tree_as_the_graphs_units(
+        tmp_path, capsys, monkeypatch):
+    tree_path = tmp_path / "tree.foon"
+    assert main(["search", F2, "-g", "sweet potato{fried}", "-k", K2, "-o", str(tree_path)]) == 0
+    capsys.readouterr()
+    graph_units = len({id(unit) for unit in parse_subgraph(fixture_text("F2.foon"))})
+    built = []
+    unit = foon.formats.FunctionalUnit
+    monkeypatch.setattr(foon.formats, "FunctionalUnit",
+                        lambda *args: built.append(args) or unit(*args))
+    assert main(["verify", F2, str(tree_path), "-k", K2, "-g", "sweet potato{fried}"]) == 0
+    assert capsys.readouterr().err == "valid task tree: 3 functional units\n"
+    assert len(built) == graph_units
+
+
 # --- argument handling ---
 
 

@@ -145,6 +145,8 @@ def test_identity_ignores_order_and_rate():
 def test_identity_is_built_once_and_stays_out_of_equality():
     unit = FunctionalUnit((stateless("b"), stateless("a")), MotionNode("mix"), (stateless("c"),))
     assert unit.identity() is unit.identity() == (("a", "b"), "mix", ("c",))
+    # a side already in key order is shared with the identity, not copied
+    assert unit.identity()[2] is unit.output_keys and unit.identity()[0] != unit.input_keys
     assert unit == FunctionalUnit(unit.inputs, unit.motion, unit.outputs)
     assert "identity" not in repr(unit)
 
@@ -166,6 +168,18 @@ def test_input_repeats_are_reported_before_output_repeats():
         FunctionalUnit((stateless("x"), stateless("x")), MotionNode("mix"),
                        (stateless("y"), stateless("y")))
     assert str(err.value) == "duplicate input node x"
+
+
+@pytest.mark.parametrize("inputs, outputs, reason", [
+    ([], [], "functional unit has no inputs"),
+    ([], ["x", "x"], "functional unit has no inputs"),
+    (["x", "x"], [], "functional unit has no outputs"),
+    (["x"], ["y", "y"], "duplicate output node y"),
+])
+def test_unit_errors_keep_their_precedence(inputs, outputs, reason):
+    with pytest.raises(ValueError) as err:
+        FunctionalUnit(map(stateless, inputs), MotionNode("mix"), map(stateless, outputs))
+    assert str(err.value) == reason
 
 
 def spelled_key(node):

@@ -18,6 +18,7 @@ from foon import (
     ParseError,
     TaskTree,
     export_dot,
+    merge,
     normalize_label,
     parse_kitchen,
     parse_subgraph,
@@ -296,7 +297,7 @@ def test_shared_table_keeps_the_spelling_of_zero_rates():
 
 
 def _interned(units, seen):
-    # equal nodes (and equally spelled motions) parsed through one table are one instance
+    # equal nodes, label sets and equally spelled motions parsed through one table are one instance
     for unit in units:
         for node in unit.inputs + unit.outputs:
             fresh = ObjectNode(node.name, node.states, node.ingredients)
@@ -305,6 +306,8 @@ def _interned(units, seen):
             # _text is the serializer's cache of the node's lines
             assert [name for name in vars(node) if name != "_text"] == list(vars(fresh))
             assert seen.setdefault(node.key, node) is node
+            for labels in (node.states, node.ingredients):
+                assert seen.setdefault(labels, labels) is labels
         motion = unit.motion
         assert seen.setdefault((motion.label, repr(motion.success_rate)), motion) is motion
 
@@ -626,6 +629,60 @@ def test_cached_node_text_equals_the_uncached_lines():
         tree = TaskTree(tuple(rng.sample(range(len(graph.units)), len(graph.units))), "goal")
         assert serialize_task_tree(graph, tree, algorithm="h1") == (
             serialize_task_tree(fresh, tree, algorithm="h1"))
+
+
+def test_the_kept_unit_text_stays_out_of_equality_hash_and_repr():
+    written = FunctionalUnit((ObjectNode("a"),), MotionNode("mix", 0.5), (ObjectNode("b"),))
+    cold = FunctionalUnit(written.inputs, written.motion, written.outputs)
+    text = foon.formats._unit_text(written)
+    assert text == "O\ta\nM\tmix\t0.5\nO\tb\n//"
+    assert foon.formats._unit_text(written) is text
+    assert "_text" in vars(written) and "_text" not in vars(cold)
+    assert written == cold and hash(written) == hash(cold) and repr(written) == repr(cold)
+
+
+def test_a_raised_rate_is_written_after_the_graph_was_written():
+    low = FunctionalUnit((ObjectNode("a"),), MotionNode("mix", 0.25), (ObjectNode("b"),))
+    high = FunctionalUnit(low.inputs, MotionNode("mix", 0.75), low.outputs)
+    graph = FoonGraph.from_units([low])
+    tree = TaskTree((0,), "b")
+    assert "M\tmix\t0.25\n" in serialize_graph(graph) + serialize_task_tree(graph, tree)
+    assert not graph.add_unit(high).added
+    fresh = FoonGraph.from_units([high])
+    assert serialize_graph(graph) == serialize_graph(fresh)
+    assert serialize_task_tree(graph, tree) == serialize_task_tree(fresh, tree)
+    assert "M\tmix\t0.75\n" in serialize_graph(graph)
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False), st.randoms(use_true_random=False))
+def test_units_shared_by_merge_write_the_same_bytes_from_either_graph(rng, other_rng):
+    first, second = random_textured_graph(rng), random_textured_graph(other_rng)
+    merged = merge([first, second])
+    assert serialize_graph(merged) == serialize_graph(fresh_copy(merged))
+    shared = 0
+    for graph in (first, second):
+        assert serialize_graph(graph) == serialize_graph(fresh_copy(graph))
+        for uid, unit in enumerate(graph.units):
+            merged_uid = merged.find_unit(unit)
+            if merged.units[merged_uid] is unit:
+                shared += 1
+                assert serialize_task_tree(graph, TaskTree((uid,), "goal")) == (
+                    serialize_task_tree(merged, TaskTree((merged_uid,), "goal")))
+    assert shared >= len(first.units) - len(second.units)
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False))
+def test_warm_and_cold_caches_write_the_same_bytes(rng):
+    graph = random_textured_graph(rng)
+    picked = rng.sample(range(len(graph.units)), rng.randint(0, len(graph.units)))
+    tree = TaskTree(tuple(picked), "goal")
+    cold = fresh_copy(graph)
+    expected = serialize_task_tree(cold, tree, algorithm="h2"), serialize_graph(cold)
+    # the first pass mixes cold texts with the ones the tree just kept; the second is all warm
+    for _ in range(2):
+        assert (serialize_task_tree(graph, tree, algorithm="h2"), serialize_graph(graph)) == expected
 
 
 # --- DOT export ---
