@@ -92,9 +92,7 @@ def resolve_goal(spec: str, graph: FoonGraph, kitchen: Kitchen) -> str:
         return key
     matches = sorted(set(graph.keys_named(key)).union(kitchen.keys_named(key)))
     if len(matches) > 1:
-        raise CliError(
-            f"goal name {spec.strip()!r} is ambiguous: " + ", ".join(matches)
-        )
+        raise CliError(f"goal name {spec.strip()!r} is ambiguous: " + ", ".join(matches))
     return matches[0] if matches else key
 
 
@@ -115,12 +113,8 @@ def cmd_merge(args) -> int:
     graph = FoonGraph.from_units(units)
     _write(args.output, serialize_graph(graph))
     removed = len(units) - len(graph.units)
-    print(
-        f"{_plural(len(graph.units), 'unit')}, "
-        f"{_plural(len(graph.nodes), 'object node')}, "
-        f"{_plural(removed, 'duplicate')} removed",
-        file=sys.stderr,
-    )
+    print(f"{_plural(len(graph.units), 'unit')}, {_plural(len(graph.nodes), 'object node')}, "
+          f"{_plural(removed, 'duplicate')} removed", file=sys.stderr)
     return EXIT_OK
 
 
@@ -130,19 +124,13 @@ def cmd_search(args) -> int:
     goal = resolve_goal(args.goal, graph, kitchen)
     result = _run_algorithm(args.algo, graph, goal, kitchen, args.max_depth)
     if not result.found:
-        print(
-            f"no task tree for {goal}: {result.reason} "
-            f"({_plural(result.expansions, 'expansion')})",
-            file=sys.stderr,
-        )
+        print(f"no task tree for {goal}: {result.reason} "
+              f"({_plural(result.expansions, 'expansion')})", file=sys.stderr)
         return EXIT_NOT_FOUND
     # retrieval verified the tree already; the graph-local path writes the same bytes
     _write(args.output, serialize_task_tree(graph, result.tree, algorithm=args.algo))
-    print(
-        f"task tree for {goal}: {_plural(len(result.tree.unit_ids), 'functional unit')} "
-        f"({_plural(result.expansions, 'expansion')})",
-        file=sys.stderr,
-    )
+    print(f"task tree for {goal}: {_plural(len(result.tree.unit_ids), 'functional unit')} "
+          f"({_plural(result.expansions, 'expansion')})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -154,17 +142,14 @@ def cmd_compare(args) -> int:
         spec = raw.split("#", 1)[0].strip()
         if not spec:
             continue
-        cells = []
         try:
             goal = resolve_goal(spec, graph, kitchen)
         except CliError as exc:
             print(f"skipping goal {spec!r}: {exc.message}", file=sys.stderr)
             rows.append((spec, [None] * len(_COLUMNS)))
             continue
-        for algo in _COLUMNS:
-            result = _run_algorithm(algo, graph, goal, kitchen)
-            cells.append(len(result.tree.unit_ids) if result.found else None)
-        rows.append((goal, cells))
+        results = [_run_algorithm(algo, graph, goal, kitchen) for algo in _COLUMNS]
+        rows.append((goal, [len(r.tree.unit_ids) if r.found else None for r in results]))
     header = ("Goal Nodes", *_COLUMNS.values())
     table = [header] + [
         (goal,) + tuple("-" if cell is None else str(cell) for cell in cells)
@@ -181,8 +166,7 @@ def cmd_compare(args) -> int:
         csv_lines = [",".join(["goal", *_COLUMNS])]
         for goal, cells in rows:
             csv_lines.append(
-                goal + "," + ",".join("" if cell is None else str(cell) for cell in cells)
-            )
+                goal + "," + ",".join("" if cell is None else str(cell) for cell in cells))
         _write(args.csv, "\n".join(csv_lines) + "\n")
     return EXIT_OK
 

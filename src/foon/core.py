@@ -7,6 +7,7 @@ unit, the atomic action of the network.
 """
 
 from dataclasses import dataclass
+from math import inf
 
 __all__ = [
     "AddResult",
@@ -159,19 +160,18 @@ class FoonGraph:
 
     Node and unit ids are dense integers in first-appearance order, which
     makes every downstream algorithm deterministic. Construction is
-    single-writer; after construction the graph is treated as immutable and
-    may be shared by concurrent readers.
+    single-writer; after it the graph may be shared by concurrent readers.
 
-    ``producers`` and ``consumers`` are lists indexed by node id; entry
-    ``nid`` lists the ids of the units that output, or take as input, node
-    ``nid``, in insertion order.
+    Indexed by node id, ``producers`` and ``consumers`` list the units that
+    output, or take as input, that node, in insertion order. Indexed by unit
+    id, ``input_ids`` and ``output_ids`` hold that unit's node ids per side,
+    in order. :meth:`add_unit` keeps these, the bare-name index behind
+    :meth:`keys_named`, and three caches of answers that also depend on a
+    kitchen or a heuristic, each built on first use and reset by it:
 
-    The bare-name index behind :meth:`keys_named` grows with the nodes.
-    Two answers that also depend on a kitchen or a heuristic are cached,
-    each built on first use and reset by :meth:`add_unit`:
-
-    - the depth table of the last kitchen passed to :meth:`min_depths`, as
-      one ``(kitchen, table)`` tuple;
+    - the depth table of the last kitchen passed to :meth:`min_depths`;
+    - the fire layers and kitchen node ids of the last table passed to
+      :meth:`fire_layers`;
     - the memo of greedy picks behind :meth:`greedy_picks`.
 
     Each cache is replaced in a single assignment or holds only entries
@@ -185,9 +185,12 @@ class FoonGraph:
         self.node_index: dict[str, int] = {}
         self.producers: list[list[int]] = []
         self.consumers: list[list[int]] = []
+        self.input_ids: list[tuple] = []
+        self.output_ids: list[tuple] = []
         self._unit_index: dict[tuple, int] = {}
         self._names: dict[str, list[str]] = {}
         self._depths = None
+        self._layers = None
         self._picks = {}
 
     @classmethod
@@ -197,16 +200,18 @@ class FoonGraph:
             graph._add(unit)
         return graph
 
-    def _register(self, obj: ObjectNode) -> int:
-        nid = self.node_index.get(obj.key)
-        if nid is None:
-            nid = len(self.nodes)
-            self.nodes.append(obj)
-            self.node_index[obj.key] = nid
-            self.producers.append([])
-            self.consumers.append([])
-            self._names.setdefault(obj.name, []).append(obj.key)
-        return nid
+    def _register(self, objs) -> tuple:
+        ids = []
+        for obj in objs:
+            nid = self.node_index.get(obj.key)
+            if nid is None:
+                nid = self.node_index[obj.key] = len(self.nodes)
+                self.nodes.append(obj)
+                self.producers.append([])
+                self.consumers.append([])
+                self._names.setdefault(obj.name, []).append(obj.key)
+            ids.append(nid)
+        return tuple(ids)
 
     def add_unit(self, unit: FunctionalUnit) -> AddResult:
         """Append a unit unless an identical one exists (union semantics).
@@ -237,26 +242,25 @@ class FoonGraph:
         uid = len(self.units)
         self.units.append(unit)
         self._unit_index[ident] = uid
-        self._depths, self._picks = None, {}
-        for obj in unit.inputs:
-            self.consumers[self._register(obj)].append(uid)
-        for obj in unit.outputs:
-            self.producers[self._register(obj)].append(uid)
+        self._depths, self._layers, self._picks = None, None, {}
+        inputs, outputs = self._register(unit.inputs), self._register(unit.outputs)
+        for nid in inputs:
+            self.consumers[nid].append(uid)
+        for nid in outputs:
+            self.producers[nid].append(uid)
+        self.input_ids.append(inputs)
+        self.output_ids.append(outputs)
         return uid
 
     def producers_of(self, key: str) -> list[int]:
         """Unit ids whose outputs contain the key, in insertion order."""
         nid = self.node_index.get(key)
-        if nid is None:
-            return []
-        return list(self.producers[nid])
+        return [] if nid is None else list(self.producers[nid])
 
     def consumers_of(self, key: str) -> list[int]:
         """Unit ids whose inputs contain the key, in insertion order."""
         nid = self.node_index.get(key)
-        if nid is None:
-            return []
-        return list(self.consumers[nid])
+        return [] if nid is None else list(self.consumers[nid])
 
     def keys_named(self, name: str) -> list:
         """Keys of the graph's nodes whose bare name is name, in insertion order.
@@ -269,9 +273,8 @@ class FoonGraph:
     def greedy_picks(self, heuristic) -> dict:
         """The memo of greedy producer picks under heuristic: node id -> unit id.
 
-        :func:`foon.retrieval.retrieve_greedy` fills it; a pick depends on
-        the graph and the heuristic alone. :meth:`add_unit` resets every
-        memo when it appends a unit or raises a success rate.
+        :func:`foon.retrieval.retrieve_greedy` fills it. :meth:`add_unit`
+        resets every memo when it appends a unit or raises a success rate.
         """
         return self._picks.setdefault(heuristic, {})
 
@@ -283,9 +286,8 @@ class FoonGraph:
         unit that produces it. One layered pass (Knuth 1977, in the
         hypergraph form of Gallo et al. 1993): every unit counts its inputs
         not yet reached and fires when the count hits zero. Keys that
-        cannot be reached are absent. The table of the last kitchen is
-        cached until :meth:`add_unit` appends a unit; callers must not
-        mutate it.
+        cannot be reached are absent. Cached for the last kitchen; callers
+        must not mutate it.
         """
         cached = self._depths
         if cached is not None and cached[0] == kitchen:
@@ -309,6 +311,22 @@ class FoonGraph:
             frontier = reached
         self._depths = (kitchen, table)
         return table
+
+    def fire_layers(self, depths: dict) -> tuple:
+        """``(fire, kitchen_ids)`` of a table that :meth:`min_depths` returned.
+
+        ``fire[uid]``: the layer unit ``uid`` fires in, one past its deepest
+        input, or one shared ``inf`` if it never fires; ``kitchen_ids``: the
+        node ids at depth 0. Cached for the last table, by identity; read-only.
+        """
+        cached = self._layers
+        if cached is not None and cached[0] is depths:
+            return cached[1]
+        past = [depths[key] + 1 if key in depths else inf for key in self.node_index]
+        fire = [max(map(past.__getitem__, ids)) for ids in self.input_ids]
+        answer = (fire, {nid for nid, layer in enumerate(past) if layer == 1})
+        self._layers = (depths, answer)
+        return answer
 
     def find_unit(self, unit: FunctionalUnit):
         """Id of the stored unit with the same identity, or None."""
@@ -373,30 +391,21 @@ class TreeViolation:
 def verify_task_tree(graph: FoonGraph, tree: TaskTree, kitchen: Kitchen, goal: str):
     """Check executability and goal coverage; None if valid, else a violation.
 
-    Executability: each unit's inputs must be in the kitchen or produced by
-    an earlier unit. Goal coverage: some unit in the tree outputs the goal,
-    or the tree is empty and the goal is already in the kitchen. An empty
-    tree failing coverage reports position 0; a non-empty tree failing it
-    reports the position just past the last unit.
+    Executability: see :func:`tree_unit_violation`, with the kitchen's items.
+    Goal coverage: some unit in the tree outputs the goal, or the tree is
+    empty and the goal is already in the kitchen. An empty tree failing it
+    reports position 0, a non-empty one the position just past its end.
     """
-    items = kitchen.items
-    violation = tree_unit_violation(graph, tree, items)
-    if violation is not None:
-        return violation
-    if tree.unit_ids:
-        if not any(goal in graph.units[uid].output_keys for uid in tree.unit_ids):
-            return TreeViolation(len(tree.unit_ids), f"goal {goal} is never produced")
-    elif goal not in items:
-        return TreeViolation(0, f"goal {goal} not available in kitchen")
-    return None
+    return tree_unit_violation(graph, tree, kitchen.items, goal)
 
 
-def tree_unit_violation(graph: FoonGraph, tree: TaskTree, items):
-    """First unit of the tree that breaks, in order; None if none does.
+def tree_unit_violation(graph: FoonGraph, tree: TaskTree, items, goal=None):
+    """First unit of the tree that breaks, in order, else a missed goal; None if neither.
 
     A unit breaks when its id is unknown to the graph, repeats an earlier
     one, or has an input that is neither in items nor an output of an
-    earlier unit. items is read and never updated.
+    earlier unit. items is read and never updated. Goal coverage is checked
+    only with a goal, as :func:`verify_task_tree` describes.
     """
     units = graph.units
     seen = set()
@@ -412,4 +421,10 @@ def tree_unit_violation(graph: FoonGraph, tree: TaskTree, items):
             if key not in items and key not in produced:
                 return TreeViolation(pos, f"input {key} not available")
         produced.update(unit.output_keys)
+    if goal is None or goal in produced:
+        return None
+    if tree.unit_ids:
+        return TreeViolation(len(tree.unit_ids), f"goal {goal} is never produced")
+    if goal not in items:
+        return TreeViolation(0, f"goal {goal} not available in kitchen")
     return None

@@ -254,20 +254,22 @@ def _object_text(obj: ObjectNode) -> str:
     exactly as long as the node: a node shared by many units, graphs
     or trees is written from one string, and no table outlives the graph.
     """
-    text = obj.__dict__.get("_text")
+    text = getattr(obj, "_text", None)
     if text is None:
-        text = obj.__dict__["_text"] = "\n".join(_object_lines(obj))
+        text = "\n".join(_object_lines(obj))
+        object.__setattr__(obj, "_text", text)
     return text
 
 
 def _unit_text(unit: FunctionalUnit) -> str:
     """The lines of unit through its ``//``, kept on it as :func:`_object_text` keeps a node's."""
     # never stale: the fields are frozen, and a raised rate replaces the unit (FoonGraph._add)
-    text = unit.__dict__.get("_text")
+    text = getattr(unit, "_text", None)
     if text is None:
         motion = f"M\t{unit.motion.label}\t{unit.motion.success_rate!r}"
         lines = [*map(_object_text, unit.inputs), motion, *map(_object_text, unit.outputs), "//"]
-        text = unit.__dict__["_text"] = "\n".join(lines)
+        text = "\n".join(lines)
+        object.__setattr__(unit, "_text", text)
     return text
 
 
@@ -319,10 +321,8 @@ def export_dot(graph: FoonGraph) -> str:
     for uid, unit in enumerate(graph.units):
         label = f"{_dot_escape(unit.motion.label)}\\n{unit.motion.success_rate!r}"
         lines.append(f'  m{uid} [shape=square, fillcolor=red, label="{label}"];')
-    for uid, unit in enumerate(graph.units):
-        for key in unit.input_keys:
-            lines.append(f"  o{graph.node_index[key]} -> m{uid};")
-        for key in unit.output_keys:
-            lines.append(f"  m{uid} -> o{graph.node_index[key]};")
+    for uid, (inputs, outputs) in enumerate(zip(graph.input_ids, graph.output_ids)):
+        lines += (f"  o{nid} -> m{uid};" for nid in inputs)
+        lines += (f"  m{uid} -> o{nid};" for nid in outputs)
     lines.append("}")
     return "\n".join(lines) + "\n"

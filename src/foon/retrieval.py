@@ -40,7 +40,7 @@ class HeuristicKind(Enum):
 class RetrievalResult:
     """Outcome of one retrieval: a tree or a failure reason, plus expansions.
 
-    expansions counts, for iterative deepening, the (key, budget) pairs the
+    expansions counts, for iterative deepening, the (node, budget) pairs the
     tree rebuild visits (so 1 for a goal already in the kitchen and 0 for
     every failure), or with memoize=False the solve() calls the literal
     loop would make; for the greedy engines, queue dequeues.
@@ -70,11 +70,10 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
     success, has all inputs resolvable at budget-1. Units come back in
     dependency order with later repeats dropped.
 
-    No bound is searched. The goal's minimum depth D comes from the graph's
-    cached depth table (:meth:`FoonGraph.min_depths`); the search fails
-    when D exceeds the limit, and otherwise the bound-D tree is rebuilt
-    with an explicit stack: at budget b it takes the first producer whose
-    inputs all have depth <= b-1, the one the search at that bound takes.
+    No bound is searched: the search fails when the goal's depth D in
+    :meth:`FoonGraph.min_depths` exceeds the limit, and otherwise rebuilds
+    the bound-D tree over node ids with an explicit stack, taking at budget
+    b the first producer that fires by layer b (:meth:`FoonGraph.fire_layers`).
 
     memoize selects the expansion count only. memoize=False gives the same
     tree or reason with the solve() calls of the literal loop (Korf 1985),
@@ -94,14 +93,15 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
     depths = graph.min_depths(kitchen)
     bound = depths.get(goal, depth_limit + 1)
     if bound > depth_limit:
-        calls = 0 if memoize else _solve_calls(graph, goal, kitchen, depths, depth_limit)
+        calls = 0 if memoize else _solve_calls(graph, nid, depths, depth_limit)
         return RetrievalResult(None, DEPTH_LIMIT_EXHAUSTED, calls)
 
-    producers, node_index, units = graph.producers, graph.node_index, graph.units
+    fire, kitchen_ids = graph.fire_layers(depths)
+    producers, input_ids = graph.producers, graph.input_ids
     emitted = {}
     visited = set()
-    # an int entry emits that unit; a (key, budget) pair resolves that key
-    stack = [(goal, bound)]
+    # an int entry emits that unit; a (node id, budget) pair resolves that node
+    stack = [] if goal in items else [(nid, bound)]
     while stack:
         item = stack.pop()
         if type(item) is int:
@@ -110,72 +110,71 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
         if item in visited:
             continue
         visited.add(item)
-        key, budget = item
-        if key in items:
+        node, budget = item
+        if node in kitchen_ids:
             continue
-        for uid in producers[node_index[key]]:
-            inputs = units[uid].input_keys
-            # a key absent from the table gets the budget itself, which never fits
-            if all(depths.get(k, budget) < budget for k in inputs):
+        for uid in producers[node]:
+            if fire[uid] <= budget:
                 break
         else:
+            key = graph.nodes[node].key
             raise RuntimeError(f"depth table has no producer for {key} at budget {budget}")
         stack.append(uid)
-        stack.extend((k, budget - 1) for k in reversed(inputs))
+        stack.extend((k, budget - 1) for k in reversed(input_ids[uid]))
     tree = TaskTree(tuple(emitted), goal)
     violation = verify_task_tree(graph, tree, kitchen, goal)
     if violation is not None:
         raise RuntimeError(f"resolution produced an invalid tree: {violation}")
-    calls = len(visited) if memoize else _solve_calls(graph, goal, kitchen, depths, bound)
+    # a goal in the kitchen is the one pair visited
+    calls = (len(visited) or 1) if memoize else _solve_calls(graph, nid, depths, bound)
     return RetrievalResult(tree, None, calls)
 
 
-def _solve_calls(graph: FoonGraph, goal: str, kitchen: Kitchen, depths: dict, last: int):
+def _solve_calls(graph: FoonGraph, nid, depths: dict, last: int):
     """solve() calls the literal iterative-deepening loop makes at bounds 0..last.
 
-    solve(key, b) is one call, plus, unless the kitchen holds key or b is
-    0, the calls on the inputs of each producer it tries at b-1: all of
-    them, in insertion order up to the first whose inputs all have depth
-    <= b-1. Summed bottom-up, one budget at a time, over the keys behind
-    the goal; a key j steps from the goal is only solved at budgets up to
-    last - j.
+    solve(node, b) is one call, plus, unless the kitchen holds node or b is
+    0, the calls on the inputs of each producer it tries at b-1: in order,
+    up to the first that fires by layer b. Summed bottom-up, one budget at a
+    time, over the nodes behind the goal node nid; a node j steps from it
+    is only solved at budgets up to last - j.
     """
-    items, units = kitchen.items, graph.units
-    order = [goal]  # breadth-first from the goal
-    ends = [0, 1]  # ends[j]: how many keys are fewer than j steps from the goal
-    # key -> the inputs of its producers joined in insertion order, and per
-    # producer: the budget it fits from and where its inputs end in that list
-    tried = {goal: ([], [])}
+    fire, kitchen_ids = graph.fire_layers(depths)
+    producers, input_ids = graph.producers, graph.input_ids
+    order = [nid]  # breadth-first from the goal
+    ends = [0, 1]  # ends[j]: how many nodes are fewer than j steps from the goal
+    # node -> the inputs of its producers joined in insertion order, and per
+    # producer: the layer it fires in and where its inputs end in that list
+    tried = {nid: ([], [])}
     while len(ends) <= last + 1:
-        for key in order[ends[-2]:]:
-            if key not in items:
-                joined, fits_ends = tried[key]
-                for uid in graph.producers_of(key):
-                    inputs = units[uid].input_keys
+        for node in order[ends[-2]:]:
+            if node not in kitchen_ids:
+                joined, fires_ends = tried[node]
+                for uid in producers[node]:
+                    inputs = input_ids[uid]
                     joined.extend(inputs)
-                    # a key absent from the table gets depth last, which never fits
-                    fits_ends.append((1 + max(depths.get(k, last) for k in inputs), len(joined)))
+                    fires_ends.append((fire[uid], len(joined)))
                     for k in inputs:
                         if k not in tried:
                             tried[k] = ([], [])
                             order.append(k)
         ends.append(len(order))
-    below = dict.fromkeys(order, 1)  # budget 0: one call per key
+    below = dict.fromkeys(order, 1)  # budget 0: one call per node
     total = 1
     for budget in range(1, last + 1):
         calls = {}
-        for key in order[: ends[last - budget + 1]]:
-            joined, fits_ends = tried[key]
-            # the first producer that fits ends the tries; if none fits, all were tried
-            for fits, end in fits_ends:
-                if fits <= budget:
+        for node in order[: ends[last - budget + 1]]:
+            joined, fires_ends = tried[node]
+            # the first producer that fires ends the tries; if none does, all were tried
+            for fires, end in fires_ends:
+                if fires <= budget:
                     inputs = joined[:end]
                     break
             else:
                 inputs = joined
-            calls[key] = 1 + sum(map(below.__getitem__, inputs))
+            calls[node] = 1 + sum(map(below.__getitem__, inputs))
         below = calls
-        total += calls[goal]
+        total += calls[nid]
     return total
 
 
@@ -200,32 +199,33 @@ def _first_fit_order(graph: FoonGraph, unit_ids, kitchen: Kitchen):
     Stable first-fit: repeatedly take the earliest listed unit that can
     execute now. Units already in executable order come out unchanged.
 
-    One forward pass over the listed units' keys (Kahn 1962): a unit
-    that cannot execute when the walk reaches it counts its missing keys and
-    waits on each; the first producer of a key releases its waiters, whose
+    One forward pass over the listed units' node ids (Kahn 1962): a unit
+    that cannot execute when the walk reaches it counts its missing nodes and
+    waits on each; the first producer of a node releases its waiters, whose
     positions, all behind the walk, leave a min-heap before the walk moves on.
     """
-    units, items = graph.units, kitchen.items
+    input_ids, output_ids = graph.input_ids, graph.output_ids
+    kitchen_ids = graph.fire_layers(graph.min_depths(kitchen))[1]
     produced = set()
-    waiting = {}  # key -> positions of the units that wait for it
+    waiting = {}  # node id -> positions of the units that wait for it
     missing = [0] * len(unit_ids)
     ready = []
     ordered = []
     for pos, uid in enumerate(unit_ids):
-        for key in units[uid].input_keys:
-            if key not in items and key not in produced:
+        for nid in input_ids[uid]:
+            if nid not in kitchen_ids and nid not in produced:
                 missing[pos] += 1
-                waiting.setdefault(key, []).append(pos)
+                waiting.setdefault(nid, []).append(pos)
         if not missing[pos]:
             heappush(ready, pos)
         while ready:
             uid = unit_ids[heappop(ready)]
             ordered.append(uid)
-            for key in units[uid].output_keys:
-                # kitchen keys never have waiters
-                if key not in produced:
-                    produced.add(key)
-                    for waiter in waiting.pop(key, ()):
+            for nid in output_ids[uid]:
+                # kitchen nodes never have waiters
+                if nid not in produced:
+                    produced.add(nid)
+                    for waiter in waiting.pop(nid, ()):
                         missing[waiter] -= 1
                         if not missing[waiter]:
                             heappush(ready, waiter)
@@ -236,8 +236,8 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
                     heuristic: HeuristicKind) -> RetrievalResult:
     """Greedy best-first retrieval committing to one producer per node.
 
-    Breadth-first over needed object keys: dequeue a key, and if the
-    kitchen lacks it, pick ONE producing unit by the heuristic (no
+    Breadth-first over the node ids of needed objects: dequeue one, and if
+    the kitchen lacks it, pick ONE producing unit by the heuristic (no
     backtracking) and enqueue its unseen inputs. The collected units are
     reversed, deduplicated, and ordered by replaying them from the kitchen;
     a committed choice that cannot execute fails the whole run with
@@ -248,32 +248,36 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
     repeated ids, every pick is a producer of the graph, and the goal's own
     pick outputs the goal unless the kitchen already holds it.
 
-    The pick for a node depends on the graph and the heuristic alone, so
-    it is made once per graph and read back from
-    :meth:`FoonGraph.greedy_picks` for every later goal and kitchen.
+    A pick depends on the graph and the heuristic alone, so it is made once
+    and read back from :meth:`FoonGraph.greedy_picks` for later goals.
     """
-    producers, node_index, items = graph.producers, graph.node_index, kitchen.items
+    if goal in kitchen.items:
+        return RetrievalResult(TaskTree((), goal), None, 1)
+    nid = graph.node_index.get(goal)
+    if nid is None:
+        return RetrievalResult(None, NO_PRODUCER, 1)
+    producers, input_ids = graph.producers, graph.input_ids
+    kitchen_ids = graph.fire_layers(graph.min_depths(kitchen))[1]
     picks = graph.greedy_picks(heuristic)
-    queue = deque([goal])
-    visited = {goal}
+    queue = deque([nid])
+    visited = {nid}
     picked: list = []
     expansions = 0
     while queue:
-        key = queue.popleft()
+        node = queue.popleft()
         expansions += 1
-        if key in items:
+        if node in kitchen_ids:
             continue
-        nid = node_index.get(key)
-        uid = picks.get(nid)
+        uid = picks.get(node)
         if uid is None:
-            if nid is None or not producers[nid]:
+            if not producers[node]:
                 return RetrievalResult(None, NO_PRODUCER, expansions)
-            uid = picks[nid] = select_candidate(producers[nid], graph, heuristic)
+            uid = picks[node] = select_candidate(producers[node], graph, heuristic)
         picked.append(uid)
-        for input_key in graph.units[uid].input_keys:
-            if input_key not in visited:
-                visited.add(input_key)
-                queue.append(input_key)
+        for input_nid in input_ids[uid]:
+            if input_nid not in visited:
+                visited.add(input_nid)
+                queue.append(input_nid)
     ordered = _first_fit_order(graph, list(dict.fromkeys(reversed(picked))), kitchen)
     if ordered is None:
         return RetrievalResult(None, GREEDY_DEAD_END, expansions)
@@ -281,12 +285,9 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
 
 
 def ids_expansion_formula(b: int, d: int) -> int:
-    """Total solve() calls for iterative deepening on a uniform b-ary
-    goal-absent instance searched through depth d: sum of (d+1-i)*b^i.
-
-    Iteration at bound j expands every node in layers 0..j once, so the
-    layer-i nodes (b^i of them) are expanded in iterations j = i..d, which
-    is d+1-i times.
+    """Total solve() calls of iterative deepening through depth d on a uniform
+    b-ary goal-absent instance: sum of (d+1-i)*b^i, since the b^i layer-i
+    nodes are expanded once in each iteration at bounds j = i..d.
     """
     if b < 1:
         raise ValueError(f"branching factor must be >= 1, got {b}")

@@ -441,6 +441,62 @@ def test_keys_named_follows_every_appended_unit():
                 assert graph.keys_named(name) == want
 
 
+def test_unit_node_ids_follow_every_add_duplicate_and_rate_raise():
+    rng = random.Random(2441)
+    raised = 0
+    for number in range(200):
+        if number % 2:
+            source = helpers.random_textured_graph(rng)
+        else:
+            source = helpers.random_instance(rng)[0]
+        graph = FoonGraph()
+        for _ in range(3 * len(source.units)):
+            unit = rng.choice(source.units)
+            if rng.random() < 0.4:
+                unit = helpers.rate_jitter(unit, rng)
+            before = graph.find_unit(unit)
+            old_rate = None if before is None else graph.units[before].motion.success_rate
+            graph.add_unit(unit)
+            raised += old_rate is not None and unit.motion.success_rate > old_rate
+            assert len(graph.input_ids) == len(graph.output_ids) == len(graph.units)
+            for uid, stored in enumerate(graph.units):
+                assert graph.input_ids[uid] == tuple(graph.node_index[k] for k in stored.input_keys)
+                assert graph.output_ids[uid] == tuple(
+                    graph.node_index[k] for k in stored.output_keys)
+    assert raised
+
+
+def test_fire_layers_match_the_fixpoint_oracle():
+    rng = random.Random(1993)
+    fired = set()
+    for _ in range(300):
+        graph, _, kitchen = helpers.random_instance(rng)
+        depths = helpers.min_layer_depths(graph, kitchen)
+        fire, kitchen_ids = graph.fire_layers(graph.min_depths(kitchen))
+        want = [1 + max(depths[key] for key in unit.input_keys) for unit in graph.units]
+        assert fire == want
+        assert kitchen_ids == {nid for key, nid in graph.node_index.items() if key in kitchen}
+        fired.update(layer == math.inf for layer in fire)
+    assert fired == {True, False}
+
+
+def test_add_unit_resets_the_fire_layers_of_a_kept_table():
+    graph = FoonGraph.from_units(
+        [simple_unit(["a"], "mix", ["b"], rate=0.5), simple_unit(["b"], "chop", ["c"])])
+    kitchen = Kitchen(frozenset(["a"]))
+    table = graph.min_depths(kitchen)
+    answer = graph.fire_layers(table)
+    assert answer == ([1, 2], {graph.node_index["a"]})
+    # a duplicate that only raises a rate keeps the table and its layers
+    assert not graph.add_unit(simple_unit(["a"], "mix", ["b"], rate=0.9)).added
+    assert graph.units[0].motion.success_rate == 0.9
+    assert graph.fire_layers(graph.min_depths(kitchen)) is answer
+    graph.add_unit(simple_unit(["x"], "heat", ["e"]))
+    assert graph.min_depths(kitchen) is not table
+    # the kept table is read again, not matched to the layers built before the add
+    assert graph.fire_layers(table) == ([1, 2, math.inf], {graph.node_index["a"]})
+
+
 # --- package ---
 
 
