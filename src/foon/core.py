@@ -166,17 +166,16 @@ class FoonGraph:
     output, or take as input, that node, in insertion order. Indexed by unit
     id, ``input_ids`` and ``output_ids`` hold that unit's node ids per side,
     in order. :meth:`add_unit` keeps these, the bare-name index behind
-    :meth:`keys_named`, and three caches of answers that also depend on a
+    :meth:`keys_named`, and two caches of answers that also depend on a
     kitchen or a heuristic, each built on first use and reset by it:
 
-    - the depth table of the last kitchen passed to :meth:`min_depths`;
-    - the fire layers and kitchen node ids of the last table passed to
-      :meth:`fire_layers`;
+    - the depth table, fire layers and kitchen node ids of the last kitchen
+      passed to :meth:`min_depths` or :meth:`fire_layers`;
     - the memo of greedy picks behind :meth:`greedy_picks`.
 
     Each cache is replaced in a single assignment or holds only entries
     that every reader computes alike, so a concurrent reader sees an old
-    or a new answer, never a table of one kitchen filed under another.
+    or a new answer, never the layers of one kitchen filed under another.
     """
 
     def __init__(self):
@@ -189,8 +188,7 @@ class FoonGraph:
         self.output_ids: list[tuple] = []
         self._unit_index: dict[tuple, int] = {}
         self._names: dict[str, list[str]] = {}
-        self._depths = None
-        self._layers = None
+        self._kitchen = None
         self._picks = {}
 
     @classmethod
@@ -242,7 +240,7 @@ class FoonGraph:
         uid = len(self.units)
         self.units.append(unit)
         self._unit_index[ident] = uid
-        self._depths, self._layers, self._picks = None, None, {}
+        self._kitchen, self._picks = None, {}
         inputs, outputs = self._register(unit.inputs), self._register(unit.outputs)
         for nid in inputs:
             self.consumers[nid].append(uid)
@@ -278,55 +276,55 @@ class FoonGraph:
         """
         return self._picks.setdefault(heuristic, {})
 
-    def min_depths(self, kitchen: "Kitchen") -> dict:
-        """Fewest functional-unit layers that reach each key from the kitchen.
+    def _reach(self, kitchen: "Kitchen") -> tuple:
+        """``(table, fire, kitchen_ids)`` of the kitchen, from one layered pass.
 
         Kitchen keys are at depth 0; a unit fires one layer after the
         deepest of its inputs, and each output takes the layer of the first
-        unit that produces it. One layered pass (Knuth 1977, in the
-        hypergraph form of Gallo et al. 1993): every unit counts its inputs
-        not yet reached and fires when the count hits zero. Keys that
-        cannot be reached are absent. Cached for the last kitchen; callers
-        must not mutate it.
+        unit that produces it. Over node ids (Knuth 1977, in the hypergraph
+        form of Gallo et al. 1993), every unit counts its inputs not yet
+        reached and fires when the count hits zero. Cached for the last kitchen.
         """
-        cached = self._depths
+        cached = self._kitchen
         if cached is not None and cached[0] == kitchen:
             return cached[1]
-        units, node_index, consumers = self.units, self.node_index, self.consumers
-        missing = [len(unit.input_keys) for unit in units]
+        keys = list(self.node_index)
+        consumers, output_ids = self.consumers, self.output_ids
+        missing = [len(ids) for ids in self.input_ids]
+        fire = [inf] * len(missing)
         table = dict.fromkeys(kitchen.items, 0)
-        frontier = [key for key in kitchen.items if key in node_index]
+        frontier = kitchen_ids = {self.node_index[k] for k in kitchen.items if k in self.node_index}
         depth = 0
         while frontier:
             depth += 1
             reached = []
-            for key in frontier:
-                for uid in consumers[node_index[key]]:
+            for nid in frontier:
+                for uid in consumers[nid]:
                     missing[uid] -= 1
-                    if missing[uid] == 0:
-                        for out in units[uid].output_keys:
-                            if out not in table:
-                                table[out] = depth
+                    if not missing[uid]:
+                        fire[uid] = depth
+                        for out in output_ids[uid]:
+                            if keys[out] not in table:
+                                table[keys[out]] = depth
                                 reached.append(out)
             frontier = reached
-        self._depths = (kitchen, table)
-        return table
+        entry = (table, fire, kitchen_ids)
+        self._kitchen = (kitchen, entry)
+        return entry
 
-    def fire_layers(self, depths: dict) -> tuple:
-        """``(fire, kitchen_ids)`` of a table that :meth:`min_depths` returned.
+    def min_depths(self, kitchen: "Kitchen") -> dict:
+        """Fewest functional-unit layers that reach each key from the kitchen.
 
-        ``fire[uid]``: the layer unit ``uid`` fires in, one past its deepest
-        input, or one shared ``inf`` if it never fires; ``kitchen_ids``: the
-        node ids at depth 0. Cached for the last table, by identity; read-only.
+        Keys that cannot be reached are absent; callers must not mutate it.
         """
-        cached = self._layers
-        if cached is not None and cached[0] is depths:
-            return cached[1]
-        past = [depths[key] + 1 if key in depths else inf for key in self.node_index]
-        fire = [max(map(past.__getitem__, ids)) for ids in self.input_ids]
-        answer = (fire, {nid for nid, layer in enumerate(past) if layer == 1})
-        self._layers = (depths, answer)
-        return answer
+        return self._reach(kitchen)[0]
+
+    def fire_layers(self, kitchen: "Kitchen") -> tuple:
+        """``(fire, kitchen_ids)`` from the pass behind :meth:`min_depths`; read-only.
+
+        ``fire[uid]`` is the layer unit ``uid`` fires in, or one shared ``inf``.
+        """
+        return self._reach(kitchen)[1:]
 
     def find_unit(self, unit: FunctionalUnit):
         """Id of the stored unit with the same identity, or None."""

@@ -73,7 +73,7 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
     No bound is searched: the search fails when the goal's depth D in
     :meth:`FoonGraph.min_depths` exceeds the limit, and otherwise rebuilds
     the bound-D tree over node ids with an explicit stack, taking at budget
-    b the first producer that fires by layer b (:meth:`FoonGraph.fire_layers`).
+    b the first producer that fires by layer b (``graph.fire_layers(kitchen)``).
 
     memoize selects the expansion count only. memoize=False gives the same
     tree or reason with the solve() calls of the literal loop (Korf 1985),
@@ -90,13 +90,12 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
     nid = graph.node_index.get(goal)
     if goal not in items and (nid is None or not graph.producers[nid]):
         return RetrievalResult(None, NO_PRODUCER, 0)
-    depths = graph.min_depths(kitchen)
-    bound = depths.get(goal, depth_limit + 1)
+    bound = graph.min_depths(kitchen).get(goal, depth_limit + 1)
     if bound > depth_limit:
-        calls = 0 if memoize else _solve_calls(graph, nid, depths, depth_limit)
+        calls = 0 if memoize else _solve_calls(graph, nid, kitchen, depth_limit)
         return RetrievalResult(None, DEPTH_LIMIT_EXHAUSTED, calls)
 
-    fire, kitchen_ids = graph.fire_layers(depths)
+    fire, kitchen_ids = graph.fire_layers(kitchen)
     producers, input_ids = graph.producers, graph.input_ids
     emitted = {}
     visited = set()
@@ -126,20 +125,20 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
     if violation is not None:
         raise RuntimeError(f"resolution produced an invalid tree: {violation}")
     # a goal in the kitchen is the one pair visited
-    calls = (len(visited) or 1) if memoize else _solve_calls(graph, nid, depths, bound)
+    calls = (len(visited) or 1) if memoize else _solve_calls(graph, nid, kitchen, bound)
     return RetrievalResult(tree, None, calls)
 
 
-def _solve_calls(graph: FoonGraph, nid, depths: dict, last: int):
+def _solve_calls(graph: FoonGraph, nid, kitchen: Kitchen, last: int):
     """solve() calls the literal iterative-deepening loop makes at bounds 0..last.
 
     solve(node, b) is one call, plus, unless the kitchen holds node or b is
     0, the calls on the inputs of each producer it tries at b-1: in order,
-    up to the first that fires by layer b. Summed bottom-up, one budget at a
-    time, over the nodes behind the goal node nid; a node j steps from it
-    is only solved at budgets up to last - j.
+    up to the first that fires by layer b (``graph.fire_layers(kitchen)``).
+    Summed bottom-up, one budget at a time, over the nodes behind the goal
+    node nid; a node j steps from it is only solved at budgets up to last - j.
     """
-    fire, kitchen_ids = graph.fire_layers(depths)
+    fire, kitchen_ids = graph.fire_layers(kitchen)
     producers, input_ids = graph.producers, graph.input_ids
     order = [nid]  # breadth-first from the goal
     ends = [0, 1]  # ends[j]: how many nodes are fewer than j steps from the goal
@@ -205,7 +204,7 @@ def _first_fit_order(graph: FoonGraph, unit_ids, kitchen: Kitchen):
     positions, all behind the walk, leave a min-heap before the walk moves on.
     """
     input_ids, output_ids = graph.input_ids, graph.output_ids
-    kitchen_ids = graph.fire_layers(graph.min_depths(kitchen))[1]
+    kitchen_ids = graph.fire_layers(kitchen)[1]
     produced = set()
     waiting = {}  # node id -> positions of the units that wait for it
     missing = [0] * len(unit_ids)
@@ -257,7 +256,7 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
     if nid is None:
         return RetrievalResult(None, NO_PRODUCER, 1)
     producers, input_ids = graph.producers, graph.input_ids
-    kitchen_ids = graph.fire_layers(graph.min_depths(kitchen))[1]
+    kitchen_ids = graph.fire_layers(kitchen)[1]
     picks = graph.greedy_picks(heuristic)
     queue = deque([nid])
     visited = {nid}

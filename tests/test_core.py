@@ -472,7 +472,7 @@ def test_fire_layers_match_the_fixpoint_oracle():
     for _ in range(300):
         graph, _, kitchen = helpers.random_instance(rng)
         depths = helpers.min_layer_depths(graph, kitchen)
-        fire, kitchen_ids = graph.fire_layers(graph.min_depths(kitchen))
+        fire, kitchen_ids = graph.fire_layers(kitchen)
         want = [1 + max(depths[key] for key in unit.input_keys) for unit in graph.units]
         assert fire == want
         assert kitchen_ids == {nid for key, nid in graph.node_index.items() if key in kitchen}
@@ -480,21 +480,21 @@ def test_fire_layers_match_the_fixpoint_oracle():
     assert fired == {True, False}
 
 
-def test_add_unit_resets_the_fire_layers_of_a_kept_table():
+def test_add_unit_resets_the_fire_layers_of_a_kitchen():
     graph = FoonGraph.from_units(
         [simple_unit(["a"], "mix", ["b"], rate=0.5), simple_unit(["b"], "chop", ["c"])])
     kitchen = Kitchen(frozenset(["a"]))
     table = graph.min_depths(kitchen)
-    answer = graph.fire_layers(table)
-    assert answer == ([1, 2], {graph.node_index["a"]})
-    # a duplicate that only raises a rate keeps the table and its layers
+    fire, kitchen_ids = graph.fire_layers(kitchen)
+    assert (fire, kitchen_ids) == ([1, 2], {graph.node_index["a"]})
+    # a duplicate that only raises a rate keeps the entry
     assert not graph.add_unit(simple_unit(["a"], "mix", ["b"], rate=0.9)).added
     assert graph.units[0].motion.success_rate == 0.9
-    assert graph.fire_layers(graph.min_depths(kitchen)) is answer
+    assert graph.fire_layers(kitchen)[0] is fire
+    assert graph.min_depths(kitchen) is table
     graph.add_unit(simple_unit(["x"], "heat", ["e"]))
     assert graph.min_depths(kitchen) is not table
-    # the kept table is read again, not matched to the layers built before the add
-    assert graph.fire_layers(table) == ([1, 2, math.inf], {graph.node_index["a"]})
+    assert graph.fire_layers(kitchen) == ([1, 2, math.inf], {graph.node_index["a"]})
 
 
 # --- package ---

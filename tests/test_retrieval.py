@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -133,9 +135,9 @@ def test_ids_shared_subgoal_is_emitted_once():
 
 
 def test_ids_raises_when_the_depth_table_names_no_producer(monkeypatch):
-    # a table that puts g at depth 1 but leaves out its input a
+    # the table puts g at depth 1, but layers that fire g's one producer at 2
     graph = FoonGraph.from_units([simple_unit(["a"], "make", ["g"])])
-    monkeypatch.setattr(graph, "min_depths", lambda kitchen: {"g": 1})
+    monkeypatch.setattr(graph, "fire_layers", lambda kitchen: ([2], {graph.node_index["a"]}))
     with pytest.raises(RuntimeError) as caught:
         retrieve_ids(graph, "g", Kitchen(frozenset(["a"])))
     assert str(caught.value) == "depth table has no producer for g at budget 1"
@@ -322,6 +324,8 @@ def test_every_engine_answers_on_an_empty_graph():
     graph = FoonGraph()
     kitchen = Kitchen(frozenset(["k"]))
     assert graph.min_depths(kitchen) == {"k": 0}
+    assert graph.fire_layers(kitchen) == ([], set())
+    assert graph.greedy_picks(H1) == {}
     assert answer(retrieve_ids(graph, "g", kitchen)) == (None, NO_PRODUCER, 0)
     assert answer(retrieve_ids(graph, "k", kitchen)) == ((), None, 1)
     for heuristic in (H1, H2):
@@ -673,16 +677,67 @@ def test_ids_sees_a_shallower_producer_added_after_a_search():
 
 def test_alternating_kitchens_answer_like_fresh_graphs():
     rng = random.Random(1618)
+    engines = (
+        lambda graph, goal, kitchen: retrieve_ids(graph, goal, kitchen),
+        lambda graph, goal, kitchen: retrieve_ids(graph, goal, kitchen, memoize=False),
+        lambda graph, goal, kitchen: retrieve_greedy(graph, goal, kitchen, H1),
+        lambda graph, goal, kitchen: retrieve_greedy(graph, goal, kitchen, H2),
+    )
     for _ in range(200):
         graph, _, first = helpers.random_instance(rng)
-        second = Kitchen(frozenset(k for k in graph.node_index if rng.random() < 0.35))
+        # one key that no unit mentions
+        second = Kitchen(frozenset(k for k in graph.node_index if rng.random() < 0.35) | {"spare"})
         for goal in sorted(graph.node_index):
             for kitchen in (first, second, first):
-                fresh = FoonGraph.from_units(graph.units)
-                got = retrieve_ids(graph, goal, kitchen)
-                want = retrieve_ids(fresh, goal, kitchen)
-                assert (got.tree, got.reason, got.expansions) == (
-                    want.tree, want.reason, want.expansions)
+                for engine in engines:
+                    fresh = FoonGraph.from_units(graph.units)
+                    got = engine(graph, goal, kitchen)
+                    want = engine(fresh, goal, kitchen)
+                    assert (got.tree, got.reason, got.expansions) == (
+                        want.tree, want.reason, want.expansions)
+        assert graph.min_depths(second)["spare"] == 0
+        assert graph.fire_layers(second)[1] == {
+            nid for key, nid in graph.node_index.items() if key in second}
+
+
+def test_threads_alternating_kitchens_answer_like_fresh_graphs():
+    rng = random.Random(3141)
+    graph, first = helpers.random_scale_instance(rng, 600)
+    second = Kitchen(frozenset(k for k in graph.node_index if rng.random() < 0.5))
+    goals = rng.sample(sorted(graph.node_index), 20)
+    runs = [(goal, kitchen, heuristic) for goal in goals for kitchen in (first, second)
+            for heuristic in (None, H1, H2)]
+
+    def run(target, goal, kitchen, heuristic):
+        if heuristic is None:
+            return retrieve_ids(target, goal, kitchen)
+        return retrieve_greedy(target, goal, kitchen, heuristic)
+
+    want = [run(FoonGraph.from_units(graph.units), *args) for args in runs]
+    wrong = []
+
+    def reader(offset):
+        for step in range(8 * len(runs)):
+            number = (offset + step) % len(runs)
+            try:
+                got = run(graph, *runs[number])
+            except Exception as exc:  # a thread's exception would not fail the test
+                got = exc
+            if got != want[number]:
+                wrong.append(runs[number])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_rate_only_duplicate_keeps_the_answer_and_the_table(f3, k3):
