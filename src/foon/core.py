@@ -169,8 +169,8 @@ class FoonGraph:
     :meth:`keys_named`, and two caches of answers that also depend on a
     kitchen or a heuristic, each built on first use and reset by it:
 
-    - the depth table, fire layers and kitchen node ids of the last kitchen
-      passed to :meth:`min_depths` or :meth:`fire_layers`;
+    - the depth table and fire layers that iterative deepening reads, for
+      the last kitchen passed to :meth:`min_depths` or :meth:`fire_layers`;
     - the memo of greedy picks behind :meth:`greedy_picks`.
 
     Each cache is replaced in a single assignment or holds only entries
@@ -277,7 +277,7 @@ class FoonGraph:
         return self._picks.setdefault(heuristic, {})
 
     def _reach(self, kitchen: "Kitchen") -> tuple:
-        """``(table, fire, kitchen_ids)`` of the kitchen, from one layered pass.
+        """``(table, fire)`` of the kitchen, from one layered pass.
 
         Kitchen keys are at depth 0; a unit fires one layer after the
         deepest of its inputs, and each output takes the layer of the first
@@ -293,7 +293,7 @@ class FoonGraph:
         missing = [len(ids) for ids in self.input_ids]
         fire = [inf] * len(missing)
         table = dict.fromkeys(kitchen.items, 0)
-        frontier = kitchen_ids = {self.node_index[k] for k in kitchen.items if k in self.node_index}
+        frontier = [self.node_index[k] for k in kitchen.items if k in self.node_index]
         depth = 0
         while frontier:
             depth += 1
@@ -308,9 +308,8 @@ class FoonGraph:
                                 table[keys[out]] = depth
                                 reached.append(out)
             frontier = reached
-        entry = (table, fire, kitchen_ids)
-        self._kitchen = (kitchen, entry)
-        return entry
+        self._kitchen = (kitchen, (table, fire))
+        return table, fire
 
     def min_depths(self, kitchen: "Kitchen") -> dict:
         """Fewest functional-unit layers that reach each key from the kitchen.
@@ -319,12 +318,12 @@ class FoonGraph:
         """
         return self._reach(kitchen)[0]
 
-    def fire_layers(self, kitchen: "Kitchen") -> tuple:
-        """``(fire, kitchen_ids)`` from the pass behind :meth:`min_depths`; read-only.
+    def fire_layers(self, kitchen: "Kitchen") -> list:
+        """``fire[uid]``: the layer unit ``uid`` fires in, or one shared ``inf``; read-only.
 
-        ``fire[uid]`` is the layer unit ``uid`` fires in, or one shared ``inf``.
+        It comes from the pass behind :meth:`min_depths`; the greedy engines never run it.
         """
-        return self._reach(kitchen)[1:]
+        return self._reach(kitchen)[1]
 
     def find_unit(self, unit: FunctionalUnit):
         """Id of the stored unit with the same identity, or None."""

@@ -95,8 +95,8 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
         calls = 0 if memoize else _solve_calls(graph, nid, kitchen, depth_limit)
         return RetrievalResult(None, DEPTH_LIMIT_EXHAUSTED, calls)
 
-    fire, kitchen_ids = graph.fire_layers(kitchen)
-    producers, input_ids = graph.producers, graph.input_ids
+    fire = graph.fire_layers(kitchen)
+    nodes, producers, input_ids = graph.nodes, graph.producers, graph.input_ids
     emitted = {}
     visited = set()
     # an int entry emits that unit; a (node id, budget) pair resolves that node
@@ -110,13 +110,13 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
             continue
         visited.add(item)
         node, budget = item
-        if node in kitchen_ids:
+        if nodes[node].key in items:
             continue
         for uid in producers[node]:
             if fire[uid] <= budget:
                 break
         else:
-            key = graph.nodes[node].key
+            key = nodes[node].key
             raise RuntimeError(f"depth table has no producer for {key} at budget {budget}")
         stack.append(uid)
         stack.extend((k, budget - 1) for k in reversed(input_ids[uid]))
@@ -138,7 +138,7 @@ def _solve_calls(graph: FoonGraph, nid, kitchen: Kitchen, last: int):
     Summed bottom-up, one budget at a time, over the nodes behind the goal
     node nid; a node j steps from it is only solved at budgets up to last - j.
     """
-    fire, kitchen_ids = graph.fire_layers(kitchen)
+    fire, items, nodes = graph.fire_layers(kitchen), kitchen.items, graph.nodes
     producers, input_ids = graph.producers, graph.input_ids
     order = [nid]  # breadth-first from the goal
     ends = [0, 1]  # ends[j]: how many nodes are fewer than j steps from the goal
@@ -147,7 +147,7 @@ def _solve_calls(graph: FoonGraph, nid, kitchen: Kitchen, last: int):
     tried = {nid: ([], [])}
     while len(ends) <= last + 1:
         for node in order[ends[-2]:]:
-            if node not in kitchen_ids:
+            if nodes[node].key not in items:
                 joined, fires_ends = tried[node]
                 for uid in producers[node]:
                     inputs = input_ids[uid]
@@ -203,8 +203,8 @@ def _first_fit_order(graph: FoonGraph, unit_ids, kitchen: Kitchen):
     waits on each; the first producer of a node releases its waiters, whose
     positions, all behind the walk, leave a min-heap before the walk moves on.
     """
+    items, nodes = kitchen.items, graph.nodes
     input_ids, output_ids = graph.input_ids, graph.output_ids
-    kitchen_ids = graph.fire_layers(kitchen)[1]
     produced = set()
     waiting = {}  # node id -> positions of the units that wait for it
     missing = [0] * len(unit_ids)
@@ -212,7 +212,7 @@ def _first_fit_order(graph: FoonGraph, unit_ids, kitchen: Kitchen):
     ordered = []
     for pos, uid in enumerate(unit_ids):
         for nid in input_ids[uid]:
-            if nid not in kitchen_ids and nid not in produced:
+            if nid not in produced and nodes[nid].key not in items:
                 missing[pos] += 1
                 waiting.setdefault(nid, []).append(pos)
         if not missing[pos]:
@@ -255,8 +255,8 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
     nid = graph.node_index.get(goal)
     if nid is None:
         return RetrievalResult(None, NO_PRODUCER, 1)
+    items, nodes = kitchen.items, graph.nodes
     producers, input_ids = graph.producers, graph.input_ids
-    kitchen_ids = graph.fire_layers(kitchen)[1]
     picks = graph.greedy_picks(heuristic)
     queue = deque([nid])
     visited = {nid}
@@ -265,7 +265,7 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
     while queue:
         node = queue.popleft()
         expansions += 1
-        if node in kitchen_ids:
+        if nodes[node].key in items:
             continue
         uid = picks.get(node)
         if uid is None:

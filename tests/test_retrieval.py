@@ -137,7 +137,7 @@ def test_ids_shared_subgoal_is_emitted_once():
 def test_ids_raises_when_the_depth_table_names_no_producer(monkeypatch):
     # the table puts g at depth 1, but layers that fire g's one producer at 2
     graph = FoonGraph.from_units([simple_unit(["a"], "make", ["g"])])
-    monkeypatch.setattr(graph, "fire_layers", lambda kitchen: ([2], {graph.node_index["a"]}))
+    monkeypatch.setattr(graph, "fire_layers", lambda kitchen: [2])
     with pytest.raises(RuntimeError) as caught:
         retrieve_ids(graph, "g", Kitchen(frozenset(["a"])))
     assert str(caught.value) == "depth table has no producer for g at budget 1"
@@ -271,6 +271,29 @@ def test_one_pass_ordering_matches_the_quadratic_first_fit():
     assert outcomes == {True, False} and multi_output
 
 
+def test_greedy_and_first_fit_read_the_kitchen_without_the_reachability_pass(
+        f1, f2, f3, k1, k2, k3, monkeypatch):
+    cases = [(graph, kitchen, FoonGraph.from_units(graph.units))
+             for graph, kitchen in ((f1, k1), (f2, k2), (f3, k3))]
+
+    def run(graph, kitchen):
+        ids = list(range(len(graph.units)))
+        orders = [foon.retrieval._first_fit_order(graph, listed, held)
+                  for listed in (ids, ids[::-1]) for held in (kitchen, Kitchen())]
+        return orders, [answer(retrieve_greedy(graph, goal, kitchen, heuristic))
+                        for goal in sorted(graph.node_index) for heuristic in (H1, H2)]
+
+    want = [run(fresh, kitchen) for _, kitchen, fresh in cases]
+
+    def no_pass(self, kitchen):
+        raise AssertionError("greedy retrieval ran the reachability pass")
+
+    monkeypatch.setattr(FoonGraph, "_reach", no_pass)
+    assert [run(graph, kitchen) for graph, kitchen, _ in cases] == want
+    assert any(order is None for orders, _ in want for order in orders)
+    assert any(order is not None for orders, _ in want for order in orders)
+
+
 # --- candidate selection ---
 
 
@@ -324,7 +347,7 @@ def test_every_engine_answers_on_an_empty_graph():
     graph = FoonGraph()
     kitchen = Kitchen(frozenset(["k"]))
     assert graph.min_depths(kitchen) == {"k": 0}
-    assert graph.fire_layers(kitchen) == ([], set())
+    assert graph.fire_layers(kitchen) == []
     assert graph.greedy_picks(H1) == {}
     assert answer(retrieve_ids(graph, "g", kitchen)) == (None, NO_PRODUCER, 0)
     assert answer(retrieve_ids(graph, "k", kitchen)) == ((), None, 1)
@@ -696,8 +719,6 @@ def test_alternating_kitchens_answer_like_fresh_graphs():
                     assert (got.tree, got.reason, got.expansions) == (
                         want.tree, want.reason, want.expansions)
         assert graph.min_depths(second)["spare"] == 0
-        assert graph.fire_layers(second)[1] == {
-            nid for key, nid in graph.node_index.items() if key in second}
 
 
 def test_threads_alternating_kitchens_answer_like_fresh_graphs():
