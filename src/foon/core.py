@@ -30,11 +30,7 @@ _FORBIDDEN_CHARS = set("\t\n{}[],#")
 
 
 def normalize_label(text: str, what: str = "label") -> str:
-    """Canonicalize a label: trim, lowercase, collapse internal whitespace.
-
-    Raises ValueError for labels that are empty after normalization or that
-    contain structural characters.
-    """
+    """Trim, lowercase and collapse whitespace; ValueError if empty or structural characters."""
     if not isinstance(text, str):
         raise ValueError(f"{what} must be a string, got {type(text).__name__}")
     normalized = " ".join(text.split()).lower()
@@ -111,10 +107,8 @@ class FunctionalUnit:
     """One atomic action: input object nodes -> motion -> output object nodes.
 
     Inputs and outputs are non-empty and duplicate-free per side.
-    ``input_keys`` and ``output_keys`` hold each side's node keys in order.
-    Duplicate detection uses :meth:`identity`, which ignores input/output
-    ordering and the motion's success rate; it is built once, at
-    construction, so adding one unit object many times sorts nothing.
+    ``input_keys`` and ``output_keys`` hold each side's node keys in order;
+    they and :meth:`identity` are built once, at construction.
     """
 
     inputs: tuple
@@ -122,14 +116,24 @@ class FunctionalUnit:
     outputs: tuple
 
     def __post_init__(self):
-        for side in ("inputs", "outputs"):
-            if type(getattr(self, side)) is not tuple:
-                object.__setattr__(self, side, tuple(getattr(self, side)))
-        inputs, outputs = self.inputs, self.outputs
+        inputs, outputs = tuple(self.inputs), tuple(self.outputs)
         if not inputs:
             raise ValueError("functional unit has no inputs")
         if not outputs:
             raise ValueError("functional unit has no outputs")
+        self._set(inputs, self.motion, outputs)
+
+    @classmethod
+    def _trusted(cls, inputs: tuple, motion: MotionNode, outputs: tuple) -> "FunctionalUnit":
+        """The unit of two non-empty tuples of nodes; only repeated nodes are checked."""
+        unit = object.__new__(cls)
+        unit._set(inputs, motion, outputs)
+        return unit
+
+    def _set(self, inputs, motion, outputs):
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "motion", motion)
+        object.__setattr__(self, "outputs", outputs)
         ordered = []
         for side, objs in (("input", inputs), ("output", outputs)):
             keys = tuple([obj.key for obj in objs])
@@ -140,7 +144,7 @@ class FunctionalUnit:
             in_order = tuple(sorted(keys))
             ordered.append(keys if in_order == keys else in_order)  # a sorted side is shared
         # not a field: equality, hash and repr read the three fields alone
-        object.__setattr__(self, "_identity", (ordered[0], self.motion.label, ordered[1]))
+        object.__setattr__(self, "_identity", (ordered[0], motion.label, ordered[1]))
 
     def identity(self) -> tuple:
         """Dedup key: (sorted input keys, motion label, sorted output keys)."""
@@ -164,18 +168,14 @@ class FoonGraph:
 
     Indexed by node id, ``producers`` and ``consumers`` list the units that
     output, or take as input, that node, in insertion order. Indexed by unit
-    id, ``input_ids`` and ``output_ids`` hold that unit's node ids per side,
-    in order. :meth:`add_unit` keeps these, the bare-name index behind
-    :meth:`keys_named`, and two caches of answers that also depend on a
-    kitchen or a heuristic, each built on first use and reset by it:
-
-    - the depth table and fire layers that iterative deepening reads, for
-      the last kitchen passed to :meth:`min_depths` or :meth:`fire_layers`;
-    - the memo of greedy picks behind :meth:`greedy_picks`.
-
-    Each cache is replaced in a single assignment or holds only entries
-    that every reader computes alike, so a concurrent reader sees an old
-    or a new answer, never the layers of one kitchen filed under another.
+    id, ``input_ids`` and ``output_ids`` hold its node ids per side, in order.
+    :meth:`add_unit` keeps these and the index behind :meth:`keys_named`,
+    and resets two caches built on first use: the depth table and fire
+    layers of the last kitchen (:meth:`min_depths`, :meth:`fire_layers`),
+    and the memo behind :meth:`greedy_picks`. Each is replaced in a single
+    assignment or holds only entries that every reader computes alike, so
+    a concurrent reader sees an old or a new answer, never the layers of
+    one kitchen filed under another.
     """
 
     def __init__(self):
@@ -214,9 +214,7 @@ class FoonGraph:
     def add_unit(self, unit: FunctionalUnit) -> AddResult:
         """Append a unit unless an identical one exists (union semantics).
 
-        A duplicate leaves the graph unchanged except that the stored unit
-        keeps the maximum of the two success rates; the existing id is
-        returned.
+        A duplicate only raises the stored unit's rate to the maximum of the two.
         """
         count = len(self.units)
         return AddResult(self._add(unit), len(self.units) > count)
@@ -263,17 +261,12 @@ class FoonGraph:
     def keys_named(self, name: str) -> list:
         """Keys of the graph's nodes whose bare name is name, in insertion order.
 
-        The list is the live index entry, which grows as :meth:`add_unit`
-        registers nodes; callers must not mutate it.
+        The list is the live index entry, which grows with the graph; do not mutate it.
         """
         return self._names.get(name, [])
 
     def greedy_picks(self, heuristic) -> dict:
-        """The memo of greedy producer picks under heuristic: node id -> unit id.
-
-        :func:`foon.retrieval.retrieve_greedy` fills it. :meth:`add_unit`
-        resets every memo when it appends a unit or raises a success rate.
-        """
+        """The memo of greedy producer picks under heuristic: node id -> unit id."""
         return self._picks.setdefault(heuristic, {})
 
     def _reach(self, kitchen: "Kitchen") -> tuple:
@@ -286,7 +279,7 @@ class FoonGraph:
         reached and fires when the count hits zero. Cached for the last kitchen.
         """
         cached = self._kitchen
-        if cached is not None and cached[0] == kitchen:
+        if cached is not None and (cached[0] is kitchen or cached[0] == kitchen):
             return cached[1]
         keys = list(self.node_index)
         consumers, output_ids = self.consumers, self.output_ids
@@ -312,17 +305,11 @@ class FoonGraph:
         return table, fire
 
     def min_depths(self, kitchen: "Kitchen") -> dict:
-        """Fewest functional-unit layers that reach each key from the kitchen.
-
-        Keys that cannot be reached are absent; callers must not mutate it.
-        """
+        """Fewest unit layers that reach each key from the kitchen; unreachable keys are absent."""
         return self._reach(kitchen)[0]
 
     def fire_layers(self, kitchen: "Kitchen") -> list:
-        """``fire[uid]``: the layer unit ``uid`` fires in, or one shared ``inf``; read-only.
-
-        It comes from the pass behind :meth:`min_depths`; the greedy engines never run it.
-        """
+        """``fire[uid]``: the layer unit ``uid`` fires in, or one shared ``inf``; read-only."""
         return self._reach(kitchen)[1]
 
     def find_unit(self, unit: FunctionalUnit):
@@ -386,12 +373,11 @@ class TreeViolation:
 
 
 def verify_task_tree(graph: FoonGraph, tree: TaskTree, kitchen: Kitchen, goal: str):
-    """Check executability and goal coverage; None if valid, else a violation.
+    """Check executability (:func:`tree_unit_violation`) and goal coverage; None if valid.
 
-    Executability: see :func:`tree_unit_violation`, with the kitchen's items.
     Goal coverage: some unit in the tree outputs the goal, or the tree is
-    empty and the goal is already in the kitchen. An empty tree failing it
-    reports position 0, a non-empty one the position just past its end.
+    empty and the kitchen holds it. An empty tree failing it reports
+    position 0, a non-empty one the position just past its end.
     """
     return tree_unit_violation(graph, tree, kitchen.items, goal)
 
@@ -401,8 +387,7 @@ def tree_unit_violation(graph: FoonGraph, tree: TaskTree, items, goal=None):
 
     A unit breaks when its id is unknown to the graph, repeats an earlier
     one, or has an input that is neither in items nor an output of an
-    earlier unit. items is read and never updated. Goal coverage is checked
-    only with a goal, as :func:`verify_task_tree` describes.
+    earlier unit. items is only read; goal coverage is checked only with a goal.
     """
     units = graph.units
     seen = set()

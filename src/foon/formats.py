@@ -116,13 +116,10 @@ def _motion(fields: tuple, nodes: dict) -> MotionNode:
 
 
 def _units(text: str, source: str, nodes: dict, start: int, kitchen: bool = False) -> list:
-    """The units of text, whose first line is line start; with kitchen, its objects.
+    """The line loop: the units of text, whose first line is line start; with kitchen, its objects.
 
-    An O line and the S lines after it fold into one ObjectNode: the ones
-    before a unit's M line are its inputs, the rest its outputs. A kitchen's
-    M lines are errors and its ``//`` lines end no unit. An error is raised
-    as a ParseError on the line read; "unterminated" on the last record.
-    nodes is the intern table that :func:`parse_subgraph` describes.
+    A kitchen's M lines are errors and its ``//`` lines end no unit. An
+    error is a ParseError on the line read; "unterminated" on the last record.
     """
     units, objs, name, motion = [], [], None, None
     for line_no, raw in enumerate(text.split("\n"), start):
@@ -164,7 +161,8 @@ def _units(text: str, source: str, nodes: dict, start: int, kitchen: bool = Fals
                         raise ValueError("unit has no motion line")
                     if len(objs) == split:
                         raise ValueError("unit has no outputs")
-                    units.append(FunctionalUnit(tuple(objs[:split]), motion, tuple(objs[split:])))
+                    units.append(FunctionalUnit._trusted(
+                        tuple(objs[:split]), motion, tuple(objs[split:])))
                     objs, motion = [], None
         except ValueError as exc:
             raise ParseError(source, line_no, str(exc)) from None
@@ -180,6 +178,43 @@ def _units(text: str, source: str, nodes: dict, start: int, kitchen: bool = Fals
 
 
 _HEADER = re.compile(r"(?:#[^\n]*\n)*")  # a file's leading comment lines
+# a unit block as serialize_graph writes it: objects of an O line and its
+# S lines, one M line between them, then "//"
+_CANONICAL = re.compile(r"(?:O\t[^\n]*\n(?:S\t[^\n]*\n)*)+M\t[^\n]*\n"
+                        r"(?:O\t[^\n]*\n(?:S\t[^\n]*\n)*)+//")
+
+
+def _side(objects: str, nodes: dict) -> tuple:
+    """The nodes of a block side's objects; each one's text after its ``O\\t`` is a key."""
+    side = []
+    for text in objects.split("\nO\t"):
+        node = nodes.get(text + "\n")
+        if node is None:
+            lines = ("O\t" + text).split("\n")
+            records = [nodes.get(raw) or _line(raw, nodes, False) for raw in lines]
+            nodes.update(zip(lines, records))
+            states = [record[1] for record in records[1:] if record[1]]
+            contents = {label for record in records[1:] for label in record[2]}
+            node = nodes[text + "\n"] = _object(records[0][1], states, contents, nodes)
+        side.append(node)
+    return tuple(side)
+
+
+def _block_units(block: str, source: str, nodes: dict, line: int) -> tuple:
+    """The units of one block through its ``//``: object by object if canonical, else by lines."""
+    if _CANONICAL.fullmatch(block):
+        cut = block.find("\nM\t")
+        end = block.find("\n", cut + 1)
+        raw = block[cut + 1 : end]
+        try:
+            inputs = _side(block[2:cut], nodes)
+            record = nodes.get(raw) or _line(raw, nodes, False)
+            motion = nodes.get(record) or nodes.setdefault(record, _motion(record, nodes))
+            nodes[raw] = record
+            return (FunctionalUnit._trusted(inputs, motion, _side(block[end + 3 : -3], nodes)),)
+        except ValueError:
+            pass  # the line loop raises the error at its line
+    return tuple(_units(block, source, nodes, line))
 
 
 def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = None) -> list:
@@ -187,25 +222,27 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
 
     Duplicates are preserved; deduplication is FoonGraph's job.
 
-    nodes is the intern table, a plain dict owned by the caller; without
-    one the text parses through a fresh one. Passed to the parses of many
-    files, as ``foon merge`` does, one table reads each distinct line,
-    builds each distinct node and parses each distinct block once across
-    all of them. It maps each raw label that passed to its normalized
-    text, each accepted line with a tab to its :func:`_line` record, each
-    (name, states, ingredients) to its one ObjectNode, each set of states
-    or ingredients to the one frozenset its nodes share, each M line's raw
-    fields to its one MotionNode (so ``-0.0`` stays apart from ``0.0``),
-    and, past the leading ``#`` lines, each block of text through a ``//``
-    line to the tuple of its units. A label has no tab, a line no newline,
-    a block ends in ``\\n//``, nodes and motions are tuples and label sets
-    are frozensets, so no two kinds of key meet. The loop starts afresh
-    after each ``//``, a line from the table skips only its own fields'
-    checks, and only a built value enters it, so units and errors, lines
-    included, are the same with or without it. Text after the last ``//``
-    line, and lines that only look like one (``// # end``, CRLF), parse as
-    before. Every value but the empty set is truthy: ``nodes.get(key) or
-    nodes.setdefault(key, build(...))`` builds on a miss only.
+    nodes is the intern table, a plain dict owned by the caller (fresh if
+    None). Shared by the parses of many files, as ``foon merge`` does, it
+    reads each distinct line, object and block once across all of them.
+    It maps each raw label that passed to its normalized text, each
+    accepted line with a tab to its :func:`_line` record, each object's
+    text after its ``O\\t``, closed with a newline, and each (name, states,
+    ingredients) to its one ObjectNode, each label set to the frozenset its
+    nodes share, each M line's fields to its MotionNode (so ``-0.0`` stays
+    apart from ``0.0``), and each block through a ``//`` line, past the
+    leading ``#`` lines, to its units. A label has no tab or newline, a line
+    no newline, an object text ends in ``\\n``, a block in ``\\n//``, and the
+    other keys are tuples or frozensets, so no two kinds of key meet.
+
+    A new block in the shape :func:`serialize_graph` writes (``_CANONICAL``)
+    is read object by object. Any other block, or one whose line or unit
+    fails, runs the line loop, the only code that raises ParseError; only
+    values that loop accepts enter the table. So units and errors, lines
+    included, are the same with or without a table. Text after the last
+    ``//`` line, and lines that only look like one (``// # end``, CRLF),
+    run the loop too. Every value but the empty set is truthy:
+    ``nodes.get(key) or nodes.setdefault(key, build(...))`` builds on a miss only.
     """
     nodes = {} if nodes is None else nodes
     units = []
@@ -215,8 +252,7 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
     while end >= 0:
         block = text[pos : end + 3]
         units += nodes.get(block) or nodes.setdefault(
-            block, tuple(_units(block, source, nodes, line))
-        )
+            block, _block_units(block, source, nodes, line))
         line += block.count("\n") + 1
         pos = end + 4
         end = text.find("\n//\n", pos)
@@ -224,11 +260,7 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
 
 
 def parse_kitchen(text: str, source: str = "<string>") -> Kitchen:
-    """Parse a kitchen file (O/S grammar, no motions) into a Kitchen.
-
-    Duplicate items collapse silently; `//` separators are tolerated but
-    not required.
-    """
+    """Parse a kitchen file (O/S grammar, no motions; `//` lines optional) into a Kitchen."""
     return Kitchen(frozenset(obj.key for obj in _units(text, source, {}, 1, kitchen=True)))
 
 
@@ -248,12 +280,7 @@ def _object_lines(obj: ObjectNode) -> list:
 
 
 def _object_text(obj: ObjectNode) -> str:
-    """The O/S lines of obj as one string, built once per node.
-
-    The text is kept on the node itself, beside its key, so it lives
-    exactly as long as the node: a node shared by many units, graphs
-    or trees is written from one string, and no table outlives the graph.
-    """
+    """The O/S lines of obj as one string, built once and kept on the node, beside its key."""
     text = getattr(obj, "_text", None)
     if text is None:
         text = "\n".join(_object_lines(obj))
@@ -281,10 +308,8 @@ def serialize_graph(graph: FoonGraph) -> str:
 def serialize_task_tree(graph: FoonGraph, tree: TaskTree, kitchen=None, algorithm=None) -> str:
     """Emit a task tree as a subgraph with goal/algorithm trailer comments.
 
-    With a kitchen the tree is fully verified first; without one only the
-    graph-local checks (known ids, no repeats) can fail, since every input
-    of a graph unit is a graph node. Invalid trees raise ValueError carrying
-    the violation.
+    The tree is verified first, with a kitchen fully, else by the graph-local
+    checks alone; an invalid tree raises ValueError carrying the violation.
     """
     if kitchen is None:
         violation = tree_unit_violation(graph, tree, graph.node_index)
@@ -306,8 +331,7 @@ def _dot_escape(text: str) -> str:
 def export_dot(graph: FoonGraph) -> str:
     """Render the bipartite digraph in DOT: green circle objects, red square motions.
 
-    Vertices are named o<node id> and m<unit id>; every motion occurrence
-    gets its own vertex even when units share a label.
+    Vertices are o<node id> and m<unit id>: one per motion occurrence.
     """
     lines = ["digraph foon {", "  rankdir=LR;", "  node [style=filled];"]
     for nid, obj in enumerate(graph.nodes):

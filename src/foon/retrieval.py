@@ -70,10 +70,8 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
     success, has all inputs resolvable at budget-1. Units come back in
     dependency order with later repeats dropped.
 
-    No bound is searched: the search fails when the goal's depth D in
-    :meth:`FoonGraph.min_depths` exceeds the limit, and otherwise rebuilds
-    the bound-D tree over node ids with an explicit stack, taking at budget
-    b the first producer that fires by layer b (``graph.fire_layers(kitchen)``).
+    No bound is searched: past the goal's depth D in :meth:`FoonGraph.min_depths`
+    it fails, else it rebuilds the bound-D tree from ``graph.fire_layers(kitchen)``.
 
     memoize selects the expansion count only. memoize=False gives the same
     tree or reason with the solve() calls of the literal loop (Korf 1985),
@@ -133,10 +131,9 @@ def _solve_calls(graph: FoonGraph, nid, kitchen: Kitchen, last: int):
     """solve() calls the literal iterative-deepening loop makes at bounds 0..last.
 
     solve(node, b) is one call, plus, unless the kitchen holds node or b is
-    0, the calls on the inputs of each producer it tries at b-1: in order,
-    up to the first that fires by layer b (``graph.fire_layers(kitchen)``).
-    Summed bottom-up, one budget at a time, over the nodes behind the goal
-    node nid; a node j steps from it is only solved at budgets up to last - j.
+    0, the calls on the inputs of each producer it tries at b-1, up to the
+    first that fires by layer b. Summed bottom-up, one budget at a time, over
+    the nodes behind nid; a node j steps from it is solved at budgets <= last - j.
     """
     fire, items, nodes = graph.fire_layers(kitchen), kitchen.items, graph.nodes
     producers, input_ids = graph.producers, graph.input_ids
@@ -196,12 +193,9 @@ def _first_fit_order(graph: FoonGraph, unit_ids, kitchen: Kitchen):
     """Reorder units so each one's inputs precede it; None if impossible.
 
     Stable first-fit: repeatedly take the earliest listed unit that can
-    execute now. Units already in executable order come out unchanged.
-
-    One forward pass over the listed units' node ids (Kahn 1962): a unit
-    that cannot execute when the walk reaches it counts its missing nodes and
-    waits on each; the first producer of a node releases its waiters, whose
-    positions, all behind the walk, leave a min-heap before the walk moves on.
+    execute now. Units already in executable order come out unchanged. One
+    forward pass (Kahn 1962): a unit that cannot execute yet waits on its
+    missing nodes, and the first producer of a node releases its waiters.
     """
     items, nodes = kitchen.items, graph.nodes
     input_ids, output_ids = graph.input_ids, graph.output_ids
@@ -242,10 +236,8 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
     a committed choice that cannot execute fails the whole run with
     GREEDY_DEAD_END.
 
-    A tree that comes back is valid by construction, so it is not checked
-    again: the replay makes every unit executable, deduplication rules out
-    repeated ids, every pick is a producer of the graph, and the goal's own
-    pick outputs the goal unless the kitchen already holds it.
+    A returned tree is valid by construction (replayed, deduplicated, and
+    the goal's pick outputs the goal), so it is not checked again.
 
     A pick depends on the graph and the heuristic alone, so it is made once
     and read back from :meth:`FoonGraph.greedy_picks` for later goals.

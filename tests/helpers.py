@@ -2,6 +2,8 @@
 
 import itertools
 
+import foon.formats
+
 from foon import (
     GREEDY_DEAD_END,
     NO_PRODUCER,
@@ -125,6 +127,11 @@ def random_textured_graph(rng) -> FoonGraph:
             )
         )
     return FoonGraph.from_units(units)
+
+
+def line_loop(text: str, source: str) -> list:
+    """The parser's reference: its line loop over the whole text through a fresh table."""
+    return foon.formats._units(text, source, {}, 1)
 
 
 def fresh_copy(graph: FoonGraph) -> FoonGraph:

@@ -474,9 +474,9 @@ def test_verify_reads_the_graphs_blocks_in_a_saved_tree_as_the_graphs_units(
     capsys.readouterr()
     graph_units = len({id(unit) for unit in parse_subgraph(fixture_text("F2.foon"))})
     built = []
-    unit = foon.formats.FunctionalUnit
-    monkeypatch.setattr(foon.formats, "FunctionalUnit",
-                        lambda *args: built.append(args) or unit(*args))
+    trusted = FunctionalUnit._trusted
+    monkeypatch.setattr(FunctionalUnit, "_trusted",
+                        lambda *args: built.append(args) or trusted(*args))
     assert main(["verify", F2, str(tree_path), "-k", K2, "-g", "sweet potato{fried}"]) == 0
     assert capsys.readouterr().err == "valid task tree: 3 functional units\n"
     assert len(built) == graph_units

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import foon
 import helpers
@@ -180,6 +181,39 @@ def test_unit_errors_keep_their_precedence(inputs, outputs, reason):
     with pytest.raises(ValueError) as err:
         FunctionalUnit(map(stateless, inputs), MotionNode("mix"), map(stateless, outputs))
     assert str(err.value) == reason
+
+
+def _error_text(build, *args):
+    with pytest.raises(ValueError) as err:
+        build(*args)
+    return str(err.value)
+
+
+@settings(max_examples=25)
+@given(st.randoms(use_true_random=False))
+def test_the_trusted_constructor_builds_the_public_unit(rng):
+    units = helpers.random_textured_graph(rng).units + helpers.random_instance(rng)[0].units
+    for unit in units:
+        sides = unit.inputs, unit.motion, unit.outputs
+        public, trusted = FunctionalUnit(*sides), FunctionalUnit._trusted(*sides)
+        assert trusted == public and hash(trusted) == hash(public)
+        assert repr(trusted) == repr(public)
+        assert trusted.identity() == public.identity()
+        assert (trusted.input_keys, trusted.output_keys) == (public.input_keys, public.output_keys)
+        assert list(vars(trusted)) == list(vars(public))
+        # a side that repeats a node: the same error from either constructor, and from the parser
+        repeated = (unit.inputs + unit.inputs[-1:], unit.motion, unit.outputs)
+        if rng.random() < 0.5:
+            repeated = (unit.inputs, unit.motion, unit.outputs[:1] + unit.outputs)
+        reason = _error_text(FunctionalUnit, *repeated)
+        assert _error_text(FunctionalUnit._trusted, *repeated) == reason
+        motion = f"M\t{unit.motion.label}\t{unit.motion.success_rate!r}"
+        text = "\n".join([*map(foon.formats._object_text, repeated[0]), motion,
+                          *map(foon.formats._object_text, repeated[2]), "//", ""])
+        for parse in (parse_subgraph, helpers.line_loop):
+            with pytest.raises(foon.ParseError) as err:
+                parse(text, "repeat.foon")
+            assert (err.value.line, err.value.reason) == (text.count("\n"), reason)
 
 
 def spelled_key(node):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import strategies
 from conftest import DATA, fixture_text, load_graph
 import foon.formats
-from helpers import fresh_copy, random_textured_graph
+from helpers import fresh_copy, line_loop, random_textured_graph
 from foon import (
     FoonGraph,
     FunctionalUnit,
@@ -325,11 +325,6 @@ def _outcome(text, *table, parse=parse_subgraph):
         return err.line, err.reason
 
 
-def _one_pass(text, source):
-    # the reference: the unit loop over the whole text, not cut into blocks
-    return foon.formats._units(text, source, {}, 1)
-
-
 _BLOCK = one_block("O\tbowl", "S\tclean", "M\twash\t0.5", "O\tbowl", "S\tdry", "//")
 _BAD_BLOCK = one_block("O\tcup", "M\tfill\tnope", "O\tcup", "S\tfull", "//")
 
@@ -362,7 +357,7 @@ def test_a_bad_block_after_cached_copies_reports_its_own_line(header, copies):
 def test_lines_that_only_read_like_separators_parse_alike_with_a_shared_table(text):
     nodes = {}
     _outcome(_BLOCK * 2, nodes)
-    alone = _outcome(text, parse=_one_pass)
+    alone = _outcome(text, parse=line_loop)
     assert _outcome(text) == _outcome(text, nodes) == _outcome(text, nodes) == alone
 
 
@@ -372,8 +367,8 @@ def test_a_block_never_hits_a_label_of_the_same_text():
     assert "abc" in nodes
     want = (1, "unrecognized record 'abc'")
     assert _outcome("abc\n//\n", nodes) == _outcome("abc\n//\n") == want
-    # a block key ends in "\n//" and a label has no newline
-    assert all(not isinstance(key, str) or "\n" not in key or key.endswith("\n//")
+    # a block key ends in "\n//", an object's text in "\n", and a label has no newline
+    assert all(not isinstance(key, str) or "\n" not in key or key.endswith(("\n//", "\n"))
                for key in nodes)
 
 
@@ -402,12 +397,14 @@ def test_a_seen_line_where_it_is_an_error_reports_as_in_a_fresh_parse(lines, lin
     assert all(raw in prefilled for raw in lines if "\t" in raw)
     text = _SEEN + one_block(*lines)
     want = (6 + line, reason)
-    assert _outcome(text, prefilled) == _outcome(text) == _outcome(text, parse=_one_pass) == want
+    assert _outcome(text, prefilled) == _outcome(text) == _outcome(text, parse=line_loop) == want
 
 
-def test_a_new_block_of_seen_lines_reads_no_field_and_normalizes_no_label(monkeypatch):
+# the comment line sends the block through the line loop, which keeps its lines too
+@pytest.mark.parametrize("seen", [_SEEN, _SEEN.replace("M\t", "# by the line loop\nM\t")])
+def test_a_new_block_of_seen_lines_reads_no_field_and_normalizes_no_label(monkeypatch, seen):
     nodes = {}
-    parse_subgraph(_SEEN, "seen", nodes)
+    parse_subgraph(seen, "seen", nodes)
     # bowl{clean,dry} is a node the table has not built yet
     text = one_block("O\tbowl", "S\tclean", "S\tdry  # rinsed", "M\twash\t0.5 # by hand",
                      "O\tbowl", "//")
@@ -420,15 +417,15 @@ def test_a_new_block_of_seen_lines_reads_no_field_and_normalizes_no_label(monkey
     monkeypatch.setattr(foon.formats, "_line",
                         lambda raw, *rest: read.append(raw) or line(raw, *rest))
     assert parse_subgraph(text, "new", nodes) == want
-    # only the lines without a tab are read: the separator and the text after it
-    assert calls == [] and read == ["//", ""]
+    # the block is read object by object from its lines' records: only the text after it is read
+    assert calls == [] and read == [""]
 
 
 def test_copies_of_a_block_across_files_build_one_unit(monkeypatch):
     built = []
-    unit = foon.formats.FunctionalUnit
-    monkeypatch.setattr(foon.formats, "FunctionalUnit",
-                        lambda *args: built.append(args) or unit(*args))
+    trusted = FunctionalUnit._trusted
+    monkeypatch.setattr(FunctionalUnit, "_trusted",
+                        lambda *args: built.append(args) or trusted(*args))
     nodes = {}
     first = parse_subgraph("# recipe a\n" + _BLOCK * 3, "a", nodes)
     second = parse_subgraph("# recipe b\n# annotated twice\n" + _BLOCK * 2, "b", nodes)
@@ -458,7 +455,7 @@ def test_intern_table_never_changes_the_parse(rng, other_rng, tail):
     # valid blocks, then arbitrary text: the same units or the same error
     fuzzed = text + tail
     assert _outcome(fuzzed, prefilled) == _outcome(fuzzed, prefilled) == _outcome(fuzzed)
-    assert _outcome(fuzzed) == _outcome(fuzzed, parse=_one_pass)
+    assert _outcome(fuzzed) == _outcome(fuzzed, parse=line_loop)
 
 
 @settings(max_examples=300)
