@@ -7,6 +7,8 @@ or to `-o` files.
 """
 
 import argparse
+import csv
+import io
 import re
 import sys
 
@@ -163,11 +165,10 @@ def cmd_compare(args) -> int:
         out.append((first + "  " + rest).rstrip())
     print("\n".join(out))
     if args.csv:
-        csv_lines = [",".join(["goal", *_COLUMNS])]
-        for goal, cells in rows:
-            csv_lines.append(
-                goal + "," + ",".join("" if cell is None else str(cell) for cell in cells))
-        _write(args.csv, "\n".join(csv_lines) + "\n")
+        buffer = io.StringIO()  # a None cell is written empty
+        csv.writer(buffer, lineterminator="\n").writerows(
+            [("goal", *_COLUMNS), *((goal, *cells) for goal, cells in rows)])
+        _write(args.csv, buffer.getvalue())
     return EXIT_OK
 
 

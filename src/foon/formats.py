@@ -64,11 +64,11 @@ def _parse_ingredients(field: str, nodes: dict) -> tuple:
 _NO_OBJECT = "S line without a preceding O line"
 
 
-def _line(raw: str, nodes: dict, orphan: bool):
-    """The record of one raw line, or None for a blank or comment line.
+def _parse_line(raw: str, nodes: dict, orphan: bool):
+    """The record of one raw line, read field by field; None for a blank or comment line.
 
     An O line gives ("O", name) and an S line ("S", state or None, ingredients),
-    labels normalized; an M line gives its fields, which the unit loop checks,
+    labels normalized; an M line gives its fields, which :func:`_motion` checks,
     and "//" gives ("//",). With orphan no object is open: an S line fails first.
     """
     record = raw.split("#", 1)[0].strip()
@@ -96,6 +96,21 @@ def _line(raw: str, nodes: dict, orphan: bool):
     raise ValueError(f"unrecognized record {tag!r}")
 
 
+def _line(raw: str, nodes: dict, orphan: bool):
+    """The record of raw; the one owner of the table's lines, those with a tab (no label has one).
+
+    A line enters once its fields are valid; a found S line still needs an open object.
+    """
+    record = nodes.get(raw) if "\t" in raw else None
+    if record is None:
+        record = _parse_line(raw, nodes, orphan)
+        if record is not None and "\t" in raw:
+            nodes[raw] = record
+    elif orphan and record[0] == "S":
+        raise ValueError(_NO_OBJECT)
+    return record
+
+
 def _object(name: str, states: list, ingredients: set, nodes: dict) -> ObjectNode:
     key = (name, frozenset(states), frozenset(ingredients))
     return nodes.get(key) or nodes.setdefault(key, ObjectNode._normalized(
@@ -103,6 +118,9 @@ def _object(name: str, states: list, ingredients: set, nodes: dict) -> ObjectNod
 
 
 def _motion(fields: tuple, nodes: dict) -> MotionNode:
+    """An M line's MotionNode, interned by its fields, so ``-0.0`` stays apart from ``0.0``."""
+    if fields in nodes:
+        return nodes[fields]
     if len(fields) not in (2, 3):
         raise ValueError("M line must be 'M<TAB>label' or 'M<TAB>label<TAB>rate'")
     label = _label(fields[1], "motion label", nodes)
@@ -112,28 +130,23 @@ def _motion(fields: tuple, nodes: dict) -> MotionNode:
             rate = float(fields[2])
         except ValueError:
             raise ValueError(f"success rate {fields[2]!r} is not a number") from None
-    return MotionNode(label, rate)
+    return nodes.setdefault(fields, MotionNode(label, rate))
 
 
 def _units(text: str, source: str, nodes: dict, start: int, kitchen: bool = False) -> list:
     """The line loop: the units of text, whose first line is line start; with kitchen, its objects.
 
-    A kitchen's M lines are errors and its ``//`` lines end no unit. An
-    error is a ParseError on the line read; "unterminated" on the last record.
+    The one record loop. A kitchen's M lines are errors, its ``//`` lines end no
+    unit. An error is a ParseError on the line read; "unterminated" on the last record.
     """
     units, objs, name, motion = [], [], None, None
     for line_no, raw in enumerate(text.split("\n"), start):
-        record = nodes.get(raw) if "\t" in raw else None
-        fresh = record is None
         try:
-            if fresh:
-                record = _line(raw, nodes, name is None)
-                if record is None:
-                    continue
+            record = _line(raw, nodes, name is None)
+            if record is None:
+                continue
             tag = record[0]
             if tag == "S":
-                if name is None:
-                    raise ValueError(_NO_OBJECT)
                 if record[1]:
                     states.append(record[1])
                 contents.update(record[2])
@@ -151,7 +164,7 @@ def _units(text: str, source: str, nodes: dict, start: int, kitchen: bool = Fals
                         raise ValueError("unit has more than one motion line")
                     if not objs:
                         raise ValueError("unit has no inputs")
-                    motion = nodes.get(record) or nodes.setdefault(record, _motion(record, nodes))
+                    motion = _motion(record, nodes)
                     split, last = len(objs), line_no
                 elif not kitchen:
                     # "//" ends a unit; an M line needs inputs, so one without inputs is empty
@@ -166,8 +179,6 @@ def _units(text: str, source: str, nodes: dict, start: int, kitchen: bool = Fals
                     objs, motion = [], None
         except ValueError as exc:
             raise ParseError(source, line_no, str(exc)) from None
-        if fresh and "\t" in raw:
-            nodes[raw] = record
     if name is not None:
         objs.append(_object(name, states, contents, nodes))
     if kitchen:
@@ -185,18 +196,12 @@ _CANONICAL = re.compile(r"(?:O\t[^\n]*\n(?:S\t[^\n]*\n)*)+M\t[^\n]*\n"
 
 
 def _side(objects: str, nodes: dict) -> tuple:
-    """The nodes of a block side's objects; each one's text after its ``O\\t`` is a key."""
+    """A block side's nodes, keyed by their texts after ``O\\t``; the line loop reads new ones."""
     side = []
     for text in objects.split("\nO\t"):
-        node = nodes.get(text + "\n")
-        if node is None:
-            lines = ("O\t" + text).split("\n")
-            records = [nodes.get(raw) or _line(raw, nodes, False) for raw in lines]
-            nodes.update(zip(lines, records))
-            states = [record[1] for record in records[1:] if record[1]]
-            contents = {label for record in records[1:] for label in record[2]}
-            node = nodes[text + "\n"] = _object(records[0][1], states, contents, nodes)
-        side.append(node)
+        key = text + "\n"
+        side.append(nodes.get(key) or nodes.setdefault(
+            key, _units("O\t" + text, "", nodes, 1, kitchen=True)[0]))
     return tuple(side)
 
 
@@ -205,43 +210,39 @@ def _block_units(block: str, source: str, nodes: dict, line: int) -> tuple:
     if _CANONICAL.fullmatch(block):
         cut = block.find("\nM\t")
         end = block.find("\n", cut + 1)
-        raw = block[cut + 1 : end]
         try:
             inputs = _side(block[2:cut], nodes)
-            record = nodes.get(raw) or _line(raw, nodes, False)
-            motion = nodes.get(record) or nodes.setdefault(record, _motion(record, nodes))
-            nodes[raw] = record
+            motion = _motion(_line(block[cut + 1 : end], nodes, False), nodes)
             return (FunctionalUnit._trusted(inputs, motion, _side(block[end + 3 : -3], nodes)),)
-        except ValueError:
+        except (ValueError, ParseError):
             pass  # the line loop raises the error at its line
     return tuple(_units(block, source, nodes, line))
 
 
 def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = None) -> list:
-    """Parse the subgraph format into a list of FunctionalUnit in file order.
-
-    Duplicates are preserved; deduplication is FoonGraph's job.
+    """Parse the subgraph format into a list of FunctionalUnit in file order, duplicates kept.
 
     nodes is the intern table, a plain dict owned by the caller (fresh if
     None). Shared by the parses of many files, as ``foon merge`` does, it
     reads each distinct line, object and block once across all of them.
-    It maps each raw label that passed to its normalized text, each
-    accepted line with a tab to its :func:`_line` record, each object's
-    text after its ``O\\t``, closed with a newline, and each (name, states,
-    ingredients) to its one ObjectNode, each label set to the frozenset its
-    nodes share, each M line's fields to its MotionNode (so ``-0.0`` stays
-    apart from ``0.0``), and each block through a ``//`` line, past the
-    leading ``#`` lines, to its units. A label has no tab or newline, a line
-    no newline, an object text ends in ``\\n``, a block in ``\\n//``, and the
-    other keys are tuples or frozensets, so no two kinds of key meet.
+    Each kind of key has one owner that reads and writes it: :func:`_label`
+    a raw label, :func:`_line` a line with a tab, :func:`_side` an object's
+    text after its ``O\\t`` closed with a newline, :func:`_object` a (name,
+    states, ingredients) and a label set, :func:`_motion` an M line's
+    fields, and this loop a block through its ``//`` line, past the leading
+    ``#`` lines. A label has no tab or newline, a line no newline, an object
+    text ends in ``\\n``, a block in ``\\n//``, and the other keys are
+    tuples or frozensets, so no two kinds of key meet.
 
     A new block in the shape :func:`serialize_graph` writes (``_CANONICAL``)
-    is read object by object. Any other block, or one whose line or unit
-    fails, runs the line loop, the only code that raises ParseError; only
-    values that loop accepts enter the table. So units and errors, lines
-    included, are the same with or without a table. Text after the last
-    ``//`` line, and lines that only look like one (``// # end``, CRLF),
-    run the loop too. Every value but the empty set is truthy:
+    is read object by object, a new object through the line loop. Any other
+    block, or one whose line or unit fails, runs the line loop, the only
+    code that raises ParseError to a caller. A line enters the table once
+    its fields are valid; its open object and the unit rules are checked
+    wherever it appears. So units and errors, lines included, are the same
+    with or without a table. Text after the last ``//`` line, and lines
+    that only look like one (``// # end``, CRLF), run the loop too. Every
+    value but the empty set is truthy:
     ``nodes.get(key) or nodes.setdefault(key, build(...))`` builds on a miss only.
     """
     nodes = {} if nodes is None else nodes

@@ -1,3 +1,4 @@
+import csv
 import inspect
 import os
 import random
@@ -395,6 +396,28 @@ def test_compare_skips_malformed_and_ambiguous_goals(tmp_path, capsys):
     assert rows == [["a{b", "-", "-", "-"], ["tray", "-", "-", "-"], ["ice{solid}", "1", "1", "1"]]
     assert csv_path.read_text(encoding="utf-8").splitlines()[1:] == [
         "a{b,,,", "tray,,,", "ice{solid},1,1,1"]
+
+
+def test_compare_csv_keeps_goals_with_commas_in_one_field(tmp_path, capsys):
+    clean, dry = ObjectNode("bowl", {"clean"}), ObjectNode("bowl", {"clean", "dry"})
+    salad = ObjectNode("salad", ingredients={"kale", "oil"})
+    graph = tmp_path / "salad.foon"
+    graph.write_text(serialize_graph(FoonGraph.from_units([
+        FunctionalUnit((clean,), MotionNode("dry"), (dry,)),
+        FunctionalUnit((dry,), MotionNode("toss"), (salad,)),
+    ])), encoding="utf-8")
+    kitchen = tmp_path / "bowl.kitchen"
+    kitchen.write_text("O\tbowl\nS\tclean\n", encoding="utf-8")
+    goals = tmp_path / "goals.txt"
+    goals.write_text(f"{dry.key}\n{salad.key}\nbad{{a,b\n", encoding="utf-8")
+    csv_path = tmp_path / "table.csv"
+    assert main(["compare", str(graph), "-k", str(kitchen), "--goals", str(goals),
+                 "--csv", str(csv_path)]) == 0
+    assert "skipping goal 'bad{a,b'" in capsys.readouterr().err
+    with csv_path.open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [["goal", "ids", "h1", "h2"], ["bowl{clean,dry}", "1", "1", "1"],
+                    [salad.key, "2", "2", "2"], ["bad{a,b", "", "", ""]]
 
 
 def test_compare_empty_goals_file_prints_header_only(tmp_path, capsys):

@@ -413,11 +413,11 @@ def test_a_new_block_of_seen_lines_reads_no_field_and_normalizes_no_label(monkey
     for module in (foon.formats, foon.core):
         monkeypatch.setattr(module, "normalize_label", lambda *args, normalize=normalize_label:
                             calls.append(args) or normalize(*args))
-    line = foon.formats._line
-    monkeypatch.setattr(foon.formats, "_line",
-                        lambda raw, *rest: read.append(raw) or line(raw, *rest))
+    parse_line = foon.formats._parse_line
+    monkeypatch.setattr(foon.formats, "_parse_line",
+                        lambda raw, *rest: read.append(raw) or parse_line(raw, *rest))
     assert parse_subgraph(text, "new", nodes) == want
-    # the block is read object by object from its lines' records: only the text after it is read
+    # every line is looked up in the table: only the empty text after the block is parsed
     assert calls == [] and read == [""]
 
 
