@@ -403,10 +403,8 @@ def tree_unit_violation(graph: FoonGraph, tree: TaskTree, items, goal=None):
             if key not in items and key not in produced:
                 return TreeViolation(pos, f"input {key} not available")
         produced.update(unit.output_keys)
-    if goal is None or goal in produced:
+    if goal is None or goal in produced or not tree.unit_ids and goal in items:
         return None
     if tree.unit_ids:
         return TreeViolation(len(tree.unit_ids), f"goal {goal} is never produced")
-    if goal not in items:
-        return TreeViolation(0, f"goal {goal} not available in kitchen")
-    return None
+    return TreeViolation(0, f"goal {goal} not available in kitchen")

@@ -61,10 +61,7 @@ def _parse_ingredients(field: str, nodes: dict) -> tuple:
     return tuple(_label(part, "ingredient label", nodes) for part in inner.split(","))
 
 
-_NO_OBJECT = "S line without a preceding O line"
-
-
-def _parse_line(raw: str, nodes: dict, orphan: bool):
+def _line(raw: str, nodes: dict, orphan: bool):
     """The record of one raw line, read field by field; None for a blank or comment line.
 
     An O line gives ("O", name) and an S line ("S", state or None, ingredients),
@@ -78,7 +75,7 @@ def _parse_line(raw: str, nodes: dict, orphan: bool):
     tag = fields[0]
     if tag == "S":
         if orphan:
-            raise ValueError(_NO_OBJECT)
+            raise ValueError("S line without a preceding O line")
         if len(fields) not in (2, 3):
             raise ValueError("S line must be 'S<TAB>state' or 'S<TAB>state<TAB>{ings}'")
         ingredients = _parse_ingredients(fields[2], nodes) if len(fields) == 3 else ()
@@ -96,25 +93,10 @@ def _parse_line(raw: str, nodes: dict, orphan: bool):
     raise ValueError(f"unrecognized record {tag!r}")
 
 
-def _line(raw: str, nodes: dict, orphan: bool):
-    """The record of raw; the one owner of the table's lines, those with a tab (no label has one).
-
-    A line enters once its fields are valid; a found S line still needs an open object.
-    """
-    record = nodes.get(raw) if "\t" in raw else None
-    if record is None:
-        record = _parse_line(raw, nodes, orphan)
-        if record is not None and "\t" in raw:
-            nodes[raw] = record
-    elif orphan and record[0] == "S":
-        raise ValueError(_NO_OBJECT)
-    return record
-
-
 def _object(name: str, states: list, ingredients: set, nodes: dict) -> ObjectNode:
-    key = (name, frozenset(states), frozenset(ingredients))
-    return nodes.get(key) or nodes.setdefault(key, ObjectNode._normalized(
-        name, *(nodes.setdefault(labels, frozenset(sorted(labels))) for labels in key[1:])))
+    """A new ObjectNode whose label sets are shared through the table, keyed by themselves."""
+    sets = (frozenset(states), frozenset(ingredients))
+    return ObjectNode._normalized(name, *(nodes.setdefault(s, frozenset(sorted(s))) for s in sets))
 
 
 def _motion(fields: tuple, nodes: dict) -> MotionNode:
@@ -224,25 +206,24 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
 
     nodes is the intern table, a plain dict owned by the caller (fresh if
     None). Shared by the parses of many files, as ``foon merge`` does, it
-    reads each distinct line, object and block once across all of them.
-    Each kind of key has one owner that reads and writes it: :func:`_label`
-    a raw label, :func:`_line` a line with a tab, :func:`_side` an object's
-    text after its ``O\\t`` closed with a newline, :func:`_object` a (name,
-    states, ingredients) and a label set, :func:`_motion` an M line's
-    fields, and this loop a block through its ``//`` line, past the leading
-    ``#`` lines. A label has no tab or newline, a line no newline, an object
-    text ends in ``\\n``, a block in ``\\n//``, and the other keys are
-    tuples or frozensets, so no two kinds of key meet.
+    reads each distinct label, object and block once across all of them.
+    Each of its five kinds of key has one owner that reads and writes it:
+    :func:`_label` a raw label, :func:`_object` a label set, :func:`_side`
+    an object's text after its ``O\\t`` closed with a newline,
+    :func:`_motion` an M line's fields, and this loop a block through its
+    ``//`` line, past the leading ``#`` lines. A label has no tab or
+    newline, an object text ends in ``\\n``, a block in ``\\n//``, fields
+    are tuples and label sets frozensets, so no two kinds of key meet.
 
     A new block in the shape :func:`serialize_graph` writes (``_CANONICAL``)
     is read object by object, a new object through the line loop. Any other
     block, or one whose line or unit fails, runs the line loop, the only
-    code that raises ParseError to a caller. A line enters the table once
-    its fields are valid; its open object and the unit rules are checked
-    wherever it appears. So units and errors, lines included, are the same
-    with or without a table. Text after the last ``//`` line, and lines
-    that only look like one (``// # end``, CRLF), run the loop too. Every
-    value but the empty set is truthy:
+    code that raises ParseError to a caller. So units and errors, lines
+    included, are the same with or without a table. Equal nodes read from
+    differently spelled text are equal but may be separate instances;
+    canonical text gives one per node. Text after the last ``//`` line, and
+    lines that only look like one (``// # end``, CRLF), run the loop too.
+    Every value but the empty set is truthy:
     ``nodes.get(key) or nodes.setdefault(key, build(...))`` builds on a miss only.
     """
     nodes = {} if nodes is None else nodes

@@ -372,7 +372,7 @@ def test_a_block_never_hits_a_label_of_the_same_text():
                for key in nodes)
 
 
-# a block whose lines with a tab (comments included) enter the line table
+# a block with comments beside its fields, whose lines later blocks repeat
 _SEEN = one_block("O\tbowl", "S\tclean", "M\twash\t0.5 # by hand", "O\tbowl",
                   "S\tdry  # rinsed", "//")
 
@@ -394,31 +394,37 @@ _SEEN = one_block("O\tbowl", "S\tclean", "M\twash\t0.5 # by hand", "O\tbowl",
 def test_a_seen_line_where_it_is_an_error_reports_as_in_a_fresh_parse(lines, line, reason):
     prefilled = {}
     parse_subgraph(_SEEN, "seen", prefilled)
-    assert all(raw in prefilled for raw in lines if "\t" in raw)
     text = _SEEN + one_block(*lines)
     want = (6 + line, reason)
     assert _outcome(text, prefilled) == _outcome(text) == _outcome(text, parse=line_loop) == want
 
 
-# the comment line sends the block through the line loop, which keeps its lines too
+# the comment line sends the block through the line loop, which keeps its labels too
 @pytest.mark.parametrize("seen", [_SEEN, _SEEN.replace("M\t", "# by the line loop\nM\t")])
-def test_a_new_block_of_seen_lines_reads_no_field_and_normalizes_no_label(monkeypatch, seen):
+def test_a_new_block_of_seen_lines_normalizes_no_label(monkeypatch, seen):
     nodes = {}
     parse_subgraph(seen, "seen", nodes)
     # bowl{clean,dry} is a node the table has not built yet
     text = one_block("O\tbowl", "S\tclean", "S\tdry  # rinsed", "M\twash\t0.5 # by hand",
                      "O\tbowl", "//")
     want = parse_subgraph(text)
-    calls, read = [], []
+    calls = []
     for module in (foon.formats, foon.core):
         monkeypatch.setattr(module, "normalize_label", lambda *args, normalize=normalize_label:
                             calls.append(args) or normalize(*args))
-    parse_line = foon.formats._parse_line
-    monkeypatch.setattr(foon.formats, "_parse_line",
-                        lambda raw, *rest: read.append(raw) or parse_line(raw, *rest))
     assert parse_subgraph(text, "new", nodes) == want
-    # every line is looked up in the table: only the empty text after the block is parsed
-    assert calls == [] and read == [""]
+    # every label is looked up in the table
+    assert calls == []
+
+
+def test_the_table_keeps_no_line_and_no_object_tuple():
+    nodes = {}
+    for name in ("F1.foon", "F2.foon", "F3.foon"):
+        parse_subgraph(fixture_text(name), name, nodes)
+    parse_subgraph(_SEEN.replace("M\t", "# by the line loop\nM\t"), "seen", nodes)
+    # labels, label sets, object texts, M line fields and blocks: nothing keyed by a line
+    assert not any(isinstance(key, str) and "\t" in key and "\n" not in key for key in nodes)
+    assert not any(isinstance(key, tuple) and key[0] != "M" for key in nodes)
 
 
 def test_copies_of_a_block_across_files_build_one_unit(monkeypatch):
