@@ -82,8 +82,8 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
     """
     if depth_limit is None:
         depth_limit = len(graph.units)
-    if depth_limit < 0:
-        raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
+    if not isinstance(depth_limit, int) or isinstance(depth_limit, bool) or depth_limit < 0:
+        raise ValueError(f"depth_limit must be an int >= 0, got {depth_limit!r}")
     items = kitchen.items
     nid = graph.node_index.get(goal)
     if goal not in items and (nid is None or not graph.producers[nid]):
@@ -97,17 +97,19 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
     nodes, producers, input_ids = graph.nodes, graph.producers, graph.input_ids
     emitted = {}
     visited = set()
-    # an int entry emits that unit; a (node id, budget) pair resolves that node
-    stack = [] if goal in items else [(nid, bound)]
+    # ~uid (negative) emits that unit; node * width + budget resolves that node
+    # with budget layers left, one int per pair since budgets stay in 0..bound
+    width = bound + 1
+    stack = [] if goal in items else [nid * width + bound]
     while stack:
         item = stack.pop()
-        if type(item) is int:
-            emitted[item] = None
+        if item < 0:
+            emitted[~item] = None
             continue
         if item in visited:
             continue
         visited.add(item)
-        node, budget = item
+        node, budget = divmod(item, width)
         if nodes[node].key in items:
             continue
         for uid in producers[node]:
@@ -116,8 +118,9 @@ def retrieve_ids(graph: FoonGraph, goal: str, kitchen: Kitchen, depth_limit=None
         else:
             key = nodes[node].key
             raise RuntimeError(f"depth table has no producer for {key} at budget {budget}")
-        stack.append(uid)
-        stack.extend((k, budget - 1) for k in reversed(input_ids[uid]))
+        stack.append(~uid)
+        for k in reversed(input_ids[uid]):
+            stack.append(k * width + budget - 1)
     tree = TaskTree(tuple(emitted), goal)
     violation = verify_task_tree(graph, tree, kitchen, goal)
     if violation is not None:
@@ -196,6 +199,8 @@ def _first_fit_order(graph: FoonGraph, unit_ids, kitchen: Kitchen):
     execute now. Units already in executable order come out unchanged. One
     forward pass (Kahn 1962): a unit that cannot execute yet waits on its
     missing nodes, and the first producer of a node releases its waiters.
+    A unit that can execute while nothing waits is placed at once, so the
+    heap is used only while some unit waits.
     """
     items, nodes = kitchen.items, graph.nodes
     input_ids, output_ids = graph.input_ids, graph.output_ids
@@ -210,7 +215,11 @@ def _first_fit_order(graph: FoonGraph, unit_ids, kitchen: Kitchen):
                 missing[pos] += 1
                 waiting.setdefault(nid, []).append(pos)
         if not missing[pos]:
-            heappush(ready, pos)
+            if waiting:
+                heappush(ready, pos)
+            else:  # the earliest unit that can run, and no waiter to release
+                ordered.append(uid)
+                produced.update(output_ids[uid])
         while ready:
             uid = unit_ids[heappop(ready)]
             ordered.append(uid)

@@ -87,6 +87,32 @@ def test_ids_rejects_negative_depth_limit(f1, k1):
         retrieve_ids(f1, "ice{solid}", k1, depth_limit=-1)
 
 
+def test_ids_rejects_a_depth_limit_that_is_not_an_int(f1, k1, empty_kitchen):
+    # the goal is found from k1 and cannot be reached from the empty kitchen
+    for limit in (2.5, "3", True, False):
+        for kitchen in (k1, empty_kitchen):
+            for memoize in (True, False):
+                with pytest.raises(ValueError):
+                    retrieve_ids(f1, "ice{solid}", kitchen, depth_limit=limit, memoize=memoize)
+
+
+def test_ids_resolves_a_node_apart_at_each_budget():
+    # x is needed at budget 2 by serve, where it takes slow, and at budget 1
+    # by wrap, where only fast fires; a node resolved once for all budgets
+    # would drop fast
+    graph = FoonGraph.from_units([
+        simple_unit(["a"], "prep", ["m"]),
+        simple_unit(["m"], "slow", ["x"]),
+        simple_unit(["a"], "fast", ["x"]),
+        simple_unit(["x"], "wrap", ["y"]),
+        simple_unit(["x", "y"], "serve", ["g"]),
+    ])
+    kitchen = Kitchen(frozenset(["a"]))
+    result = retrieve_ids(graph, "g", kitchen)
+    assert result.tree.unit_ids == helpers.literal_ids(graph, "g", kitchen)[0] == (0, 1, 2, 3, 4)
+    assert result.expansions == 6
+
+
 def test_ids_expansions_monotone_in_depth_limit(cyclic, empty_kitchen):
     counts = [
         retrieve_ids(cyclic, "widget{cursed}", empty_kitchen, depth_limit=d).expansions
