@@ -31,9 +31,7 @@ EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
-    @property
-    def message(self) -> str:
-        return self.args[0]
+    """A failure reported to the user; ``str(exc)`` is its message."""
 
 
 def _read(path: str) -> str:
@@ -147,7 +145,7 @@ def cmd_compare(args) -> int:
         try:
             goal = resolve_goal(spec, graph, kitchen)
         except CliError as exc:
-            print(f"skipping goal {spec!r}: {exc.message}", file=sys.stderr)
+            print(f"skipping goal {spec!r}: {exc}", file=sys.stderr)
             rows.append((spec, [None] * len(_COLUMNS)))
             continue
         results = [_run_algorithm(algo, graph, goal, kitchen) for algo in _COLUMNS]

@@ -227,7 +227,7 @@ class FoonGraph:
             if unit.motion.success_rate > stored.motion.success_rate:
                 # Replace rather than mutate: unit objects may be shared
                 # with other graphs after merge().
-                self.units[existing] = FunctionalUnit(
+                self.units[existing] = FunctionalUnit._trusted(
                     stored.inputs,
                     MotionNode(stored.motion.label, unit.motion.success_rate),
                     stored.outputs,
@@ -386,24 +386,24 @@ def tree_unit_violation(graph: FoonGraph, tree: TaskTree, items, goal=None):
     """First unit of the tree that breaks, in order, else a missed goal; None if neither.
 
     A unit breaks when its id is unknown to the graph, repeats an earlier
-    one, or has an input that is neither in items nor an output of an
-    earlier unit. items is only read; goal coverage is checked only with a goal.
+    one, or has an input node that no earlier unit outputs and whose key is
+    not in items. items is only read; goal coverage is checked only with a goal.
     """
-    units = graph.units
+    nodes, input_ids, output_ids = graph.nodes, graph.input_ids, graph.output_ids
     seen = set()
     produced = set()
     for pos, uid in enumerate(tree.unit_ids):
-        if not isinstance(uid, int) or uid < 0 or uid >= len(units):
+        if not isinstance(uid, int) or uid < 0 or uid >= len(input_ids):
             return TreeViolation(pos, f"unknown unit id {uid!r}")
         if uid in seen:
             return TreeViolation(pos, f"duplicate unit id {uid}")
         seen.add(uid)
-        unit = units[uid]
-        for key in unit.input_keys:
-            if key not in items and key not in produced:
-                return TreeViolation(pos, f"input {key} not available")
-        produced.update(unit.output_keys)
-    if goal is None or goal in produced or not tree.unit_ids and goal in items:
+        for nid in input_ids[uid]:
+            if nid not in produced and nodes[nid].key not in items:
+                return TreeViolation(pos, f"input {nodes[nid].key} not available")
+        produced.update(output_ids[uid])
+    if goal is None or graph.node_index.get(goal) in produced or (
+            not tree.unit_ids and goal in items):
         return None
     if tree.unit_ids:
         return TreeViolation(len(tree.unit_ids), f"goal {goal} is never produced")

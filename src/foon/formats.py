@@ -171,10 +171,10 @@ def _units(text: str, source: str, nodes: dict, start: int, kitchen: bool = Fals
 
 
 _HEADER = re.compile(r"(?:#[^\n]*\n)*")  # a file's leading comment lines
-# a unit block as serialize_graph writes it: objects of an O line and its
-# S lines, one M line between them, then "//"
-_CANONICAL = re.compile(r"(?:O\t[^\n]*\n(?:S\t[^\n]*\n)*)+M\t[^\n]*\n"
-                        r"(?:O\t[^\n]*\n(?:S\t[^\n]*\n)*)+//")
+# a unit block as serialize_graph writes it: O/S lines from an O line on, one M
+# line, O/S lines from an O line on, "//"; a side's group follows its first "O\t"
+_CANONICAL = re.compile(r"O\t(?P<inputs>[^\n]*(?:\n[OS]\t[^\n]*)*)\n(?P<motion>M\t[^\n]*)\n"
+                        r"O\t(?P<outputs>[^\n]*(?:\n[OS]\t[^\n]*)*)\n//")
 
 
 def _side(objects: str, nodes: dict) -> tuple:
@@ -189,13 +189,12 @@ def _side(objects: str, nodes: dict) -> tuple:
 
 def _block_units(block: str, source: str, nodes: dict, line: int) -> tuple:
     """The units of one block through its ``//``: object by object if canonical, else by lines."""
-    if _CANONICAL.fullmatch(block):
-        cut = block.find("\nM\t")
-        end = block.find("\n", cut + 1)
+    shape = _CANONICAL.fullmatch(block)
+    if shape:
         try:
-            inputs = _side(block[2:cut], nodes)
-            motion = _motion(_line(block[cut + 1 : end], nodes, False), nodes)
-            return (FunctionalUnit._trusted(inputs, motion, _side(block[end + 3 : -3], nodes)),)
+            inputs = _side(shape["inputs"], nodes)
+            motion = _motion(_line(shape["motion"], nodes, False), nodes)
+            return (FunctionalUnit._trusted(inputs, motion, _side(shape["outputs"], nodes)),)
         except (ValueError, ParseError):
             pass  # the line loop raises the error at its line
     return tuple(_units(block, source, nodes, line))
@@ -216,7 +215,8 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
     are tuples and label sets frozensets, so no two kinds of key meet.
 
     A new block in the shape :func:`serialize_graph` writes (``_CANONICAL``)
-    is read object by object, a new object through the line loop. Any other
+    is read from the pattern's three groups, its inputs, motion line and
+    outputs, object by object, a new object through the line loop. Any other
     block, or one whose line or unit fails, runs the line loop, the only
     code that raises ParseError to a caller. So units and errors, lines
     included, are the same with or without a table. Equal nodes read from
@@ -243,29 +243,25 @@ def parse_subgraph(text: str, source: str = "<string>", nodes: dict | None = Non
 
 def parse_kitchen(text: str, source: str = "<string>") -> Kitchen:
     """Parse a kitchen file (O/S grammar, no motions; `//` lines optional) into a Kitchen."""
-    return Kitchen(frozenset(obj.key for obj in _units(text, source, {}, 1, kitchen=True)))
-
-
-def _object_lines(obj: ObjectNode) -> list:
-    lines = [f"O\t{obj.name}"]
-    ing_field = ""
-    if obj.ingredients:
-        ing_field = "\t{" + ",".join(sorted(obj.ingredients)) + "}"
-    states = sorted(obj.states)
-    if states:
-        # full ingredient set rides on the first S line
-        lines.append(f"S\t{states[0]}{ing_field}")
-        lines.extend(f"S\t{state}" for state in states[1:])
-    elif ing_field:
-        lines.append(f"S\t{ing_field}")
-    return lines
+    return Kitchen.from_nodes(_units(text, source, {}, 1, kitchen=True))
 
 
 def _object_text(obj: ObjectNode) -> str:
     """The O/S lines of obj as one string, built once and kept on the node, beside its key."""
     text = getattr(obj, "_text", None)
     if text is None:
-        text = "\n".join(_object_lines(obj))
+        lines = [f"O\t{obj.name}"]
+        ing_field = ""
+        if obj.ingredients:
+            ing_field = "\t{" + ",".join(sorted(obj.ingredients)) + "}"
+        states = sorted(obj.states)
+        if states:
+            # full ingredient set rides on the first S line
+            lines.append(f"S\t{states[0]}{ing_field}")
+            lines.extend(f"S\t{state}" for state in states[1:])
+        elif ing_field:
+            lines.append(f"S\t{ing_field}")
+        text = "\n".join(lines)
         object.__setattr__(obj, "_text", text)
     return text
 

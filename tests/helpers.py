@@ -14,6 +14,7 @@ from foon import (
     MotionNode,
     ObjectNode,
     TaskTree,
+    TreeViolation,
 )
 
 _NAMES = ["bowl", "salt", "onion", "tomato", "pan", "cup", "dough", "butter", "pot", "lid"]
@@ -132,6 +133,29 @@ def random_textured_graph(rng) -> FoonGraph:
 def line_loop(text: str, source: str) -> list:
     """The parser's reference: its line loop over the whole text through a fresh table."""
     return foon.formats._units(text, source, {}, 1)
+
+
+def key_walk_violation(graph: FoonGraph, tree, items, goal=None):
+    """The tree checker's reference: the same walk over each unit's key tuples, not node ids."""
+    units = graph.units
+    seen = set()
+    produced = set()
+    for pos, uid in enumerate(tree.unit_ids):
+        if not isinstance(uid, int) or uid < 0 or uid >= len(units):
+            return TreeViolation(pos, f"unknown unit id {uid!r}")
+        if uid in seen:
+            return TreeViolation(pos, f"duplicate unit id {uid}")
+        seen.add(uid)
+        unit = units[uid]
+        for key in unit.input_keys:
+            if key not in items and key not in produced:
+                return TreeViolation(pos, f"input {key} not available")
+        produced.update(unit.output_keys)
+    if goal is None or goal in produced or not tree.unit_ids and goal in items:
+        return None
+    if tree.unit_ids:
+        return TreeViolation(len(tree.unit_ids), f"goal {goal} is never produced")
+    return TreeViolation(0, f"goal {goal} not available in kitchen")
 
 
 def fresh_copy(graph: FoonGraph) -> FoonGraph:

@@ -170,7 +170,7 @@ def resolution(spec, graph, kitchen):
     try:
         return resolve_goal(spec, graph, kitchen)
     except CliError as exc:
-        return exc.message
+        return str(exc)
 
 
 def test_name_index_sees_a_node_added_after_a_lookup():

@@ -423,6 +423,26 @@ def test_unit_check_reads_the_kitchen_set_without_updating_it():
     assert items == {"a"}
 
 
+def test_unit_check_over_node_ids_matches_the_key_walk():
+    rng = random.Random(2626)
+    for round_ in range(600):
+        if round_ % 2:
+            graph, _, kitchen = helpers.random_instance(rng)
+        else:
+            graph = helpers.random_textured_graph(rng)
+            kitchen = Kitchen(frozenset(k for k in graph.node_index if rng.random() < 0.4))
+        n = len(graph.units)
+        # known ids in any order, repeats included, and ids no graph knows
+        pool = [*range(n), *range(n), n, n + 3, -1, "x", 1.5, None]
+        goals = [None, "absent", *graph.node_index, *kitchen.items]
+        for _ in range(20):
+            tree = TaskTree(tuple(rng.choice(pool) for _ in range(rng.randint(0, n + 1))), "g")
+            goal = rng.choice(goals)
+            for items in (kitchen.items, graph.node_index):
+                assert foon.core.tree_unit_violation(graph, tree, items, goal) == (
+                    helpers.key_walk_violation(graph, tree, items, goal))
+
+
 def test_verify_empty_tree_needs_goal_in_kitchen():
     graph = chain_graph()
     assert verify_task_tree(graph, TaskTree((), "a"), Kitchen(frozenset(["a"])), "a") is None

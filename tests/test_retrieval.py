@@ -639,6 +639,29 @@ def test_literal_ids_walks_a_600_unit_chain_without_recursion():
         assert elapsed < 1.0, f"{n}-unit chain took {elapsed:.3f}s"
 
 
+def skip_edge_ladder(top):
+    """c j made from c j-1 and c j-2, j = 2..top: paths of two lengths meet at every rung."""
+    return FoonGraph.from_units(simple_unit([f"c {j - 1}", f"c {j - 2}"], f"make {j}", [f"c {j}"])
+                                for j in range(2, top + 1))
+
+
+def test_ids_on_a_skip_edge_ladder_visits_a_quarter_of_d_squared_pairs():
+    # the rebuild requests c D-k at about k/2 budgets, so it visits D*D//4 + D
+    # (node, budget) pairs; a rebuild that skips them must keep this count
+    kitchen = Kitchen(frozenset(["c 0", "c 1"]))
+    for top in range(2, 11):
+        graph = skip_edge_ladder(top)
+        tree, calls = helpers.literal_ids(graph, f"c {top}", kitchen)
+        result = retrieve_ids(graph, f"c {top}", kitchen)
+        assert result.tree.unit_ids == tree == tuple(range(top - 1))
+        assert result.expansions == top * top // 4 + top
+        assert retrieve_ids(graph, f"c {top}", kitchen, memoize=False).expansions == calls
+    for top, count in ((250, 15_875), (251, 16_001)):
+        result = retrieve_ids(skip_edge_ladder(top), f"c {top}", kitchen)
+        assert result.tree.unit_ids == tuple(range(top - 1))
+        assert result.expansions == top * top // 4 + top == count
+
+
 def test_literal_count_takes_under_a_second_where_the_loop_took_hours():
     # making these calls took 32 s on the first instance (11 units, its own
     # goal) and would take about 100 minutes on the second (12 units)
