@@ -270,13 +270,15 @@ class FoonGraph:
         return self._picks.setdefault(heuristic, {})
 
     def _reach(self, kitchen: "Kitchen") -> tuple:
-        """``(table, fire)`` of the kitchen, from one layered pass.
+        """``(table, fire)`` of the kitchen, from one breadth-first pass.
 
         Kitchen keys are at depth 0; a unit fires one layer after the
         deepest of its inputs, and each output takes the layer of the first
         unit that produces it. Over node ids (Knuth 1977, in the hypergraph
         form of Gallo et al. 1993), every unit counts its inputs not yet
-        reached and fires when the count hits zero. Cached for the last kitchen.
+        reached and fires when the count hits zero; the queue holds reached
+        nodes in order of depth, so the input that fires a unit is its
+        deepest. Cached for the last kitchen.
         """
         cached = self._kitchen
         if cached is not None and (cached[0] is kitchen or cached[0] == kitchen):
@@ -286,21 +288,16 @@ class FoonGraph:
         missing = [len(ids) for ids in self.input_ids]
         fire = [inf] * len(missing)
         table = dict.fromkeys(kitchen.items, 0)
-        frontier = [self.node_index[k] for k in kitchen.items if k in self.node_index]
-        depth = 0
-        while frontier:
-            depth += 1
-            reached = []
-            for nid in frontier:
-                for uid in consumers[nid]:
-                    missing[uid] -= 1
-                    if not missing[uid]:
-                        fire[uid] = depth
-                        for out in output_ids[uid]:
-                            if keys[out] not in table:
-                                table[keys[out]] = depth
-                                reached.append(out)
-            frontier = reached
+        queue = [self.node_index[k] for k in kitchen.items if k in self.node_index]
+        for nid in queue:  # the list grows as it is walked
+            for uid in consumers[nid]:
+                missing[uid] -= 1
+                if not missing[uid]:
+                    fire[uid] = layer = table[keys[nid]] + 1
+                    for out in output_ids[uid]:
+                        if keys[out] not in table:
+                            table[keys[out]] = layer
+                            queue.append(out)
         self._kitchen = (kitchen, (table, fire))
         return table, fire
 
@@ -385,15 +382,16 @@ def verify_task_tree(graph: FoonGraph, tree: TaskTree, kitchen: Kitchen, goal: s
 def tree_unit_violation(graph: FoonGraph, tree: TaskTree, items, goal=None):
     """First unit of the tree that breaks, in order, else a missed goal; None if neither.
 
-    A unit breaks when its id is unknown to the graph, repeats an earlier
-    one, or has an input node that no earlier unit outputs and whose key is
-    not in items. items is only read; goal coverage is checked only with a goal.
+    A unit breaks when its id is unknown to the graph (a bool is no id),
+    repeats an earlier one, or has an input node that no earlier unit
+    outputs and whose key is not in items. items is only read; goal
+    coverage is checked only with a goal.
     """
     nodes, input_ids, output_ids = graph.nodes, graph.input_ids, graph.output_ids
     seen = set()
     produced = set()
     for pos, uid in enumerate(tree.unit_ids):
-        if not isinstance(uid, int) or uid < 0 or uid >= len(input_ids):
+        if not isinstance(uid, int) or isinstance(uid, bool) or not 0 <= uid < len(input_ids):
             return TreeViolation(pos, f"unknown unit id {uid!r}")
         if uid in seen:
             return TreeViolation(pos, f"duplicate unit id {uid}")

@@ -7,7 +7,6 @@ in the kitchen, OR if some unit producing it has ALL of its inputs
 solvable one layer down. Depth counts functional-unit layers.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -136,42 +135,35 @@ def _solve_calls(graph: FoonGraph, nid, kitchen: Kitchen, last: int):
     solve(node, b) is one call, plus, unless the kitchen holds node or b is
     0, the calls on the inputs of each producer it tries at b-1, up to the
     first that fires by layer b. Summed bottom-up, one budget at a time, over
-    the nodes behind nid; a node j steps from it is solved at budgets <= last - j.
+    the nodes within last steps of nid, found breadth-first: a node j steps
+    from it is solved at budgets <= last - j.
     """
     fire, items, nodes = graph.fire_layers(kitchen), kitchen.items, graph.nodes
     producers, input_ids = graph.producers, graph.input_ids
-    order = [nid]  # breadth-first from the goal
-    ends = [0, 1]  # ends[j]: how many nodes are fewer than j steps from the goal
-    # node -> the inputs of its producers joined in insertion order, and per
-    # producer: the layer it fires in and where its inputs end in that list
-    tried = {nid: ([], [])}
-    while len(ends) <= last + 1:
-        for node in order[ends[-2]:]:
-            if nodes[node].key not in items:
-                joined, fires_ends = tried[node]
-                for uid in producers[node]:
-                    inputs = input_ids[uid]
-                    joined.extend(inputs)
-                    fires_ends.append((fire[uid], len(joined)))
-                    for k in inputs:
-                        if k not in tried:
-                            tried[k] = ([], [])
-                            order.append(k)
-        ends.append(len(order))
+    steps = {nid: 0}  # node -> fewest steps from the goal
+    order = [nid]
+    for node in order:  # the list grows as it is walked
+        if steps[node] < last and nodes[node].key not in items:
+            for uid in producers[node]:
+                for k in input_ids[uid]:
+                    if k not in steps:
+                        steps[k] = steps[node] + 1
+                        order.append(k)
     below = dict.fromkeys(order, 1)  # budget 0: one call per node
     total = 1
     for budget in range(1, last + 1):
         calls = {}
-        for node in order[: ends[last - budget + 1]]:
-            joined, fires_ends = tried[node]
-            # the first producer that fires ends the tries; if none does, all were tried
-            for fires, end in fires_ends:
-                if fires <= budget:
-                    inputs = joined[:end]
-                    break
-            else:
-                inputs = joined
-            calls[node] = 1 + sum(map(below.__getitem__, inputs))
+        for node in order:
+            if steps[node] > last - budget:
+                break
+            count = 1
+            if nodes[node].key not in items:
+                # the first producer that fires ends the tries; if none does, all were tried
+                for uid in producers[node]:
+                    count += sum(map(below.__getitem__, input_ids[uid]))
+                    if fire[uid] <= budget:
+                        break
+            calls[node] = count
         below = calls
         total += calls[nid]
     return total
@@ -259,13 +251,10 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
     items, nodes = kitchen.items, graph.nodes
     producers, input_ids = graph.producers, graph.input_ids
     picks = graph.greedy_picks(heuristic)
-    queue = deque([nid])
+    queue = [nid]
     visited = {nid}
     picked: list = []
-    expansions = 0
-    while queue:
-        node = queue.popleft()
-        expansions += 1
+    for expansions, node in enumerate(queue, 1):  # the list grows as it is walked
         if nodes[node].key in items:
             continue
         uid = picks.get(node)
@@ -280,8 +269,8 @@ def retrieve_greedy(graph: FoonGraph, goal: str, kitchen: Kitchen,
                 queue.append(input_nid)
     ordered = _first_fit_order(graph, list(dict.fromkeys(reversed(picked))), kitchen)
     if ordered is None:
-        return RetrievalResult(None, GREEDY_DEAD_END, expansions)
-    return RetrievalResult(TaskTree(tuple(ordered), goal), None, expansions)
+        return RetrievalResult(None, GREEDY_DEAD_END, len(queue))
+    return RetrievalResult(TaskTree(tuple(ordered), goal), None, len(queue))
 
 
 def ids_expansion_formula(b: int, d: int) -> int:

@@ -141,7 +141,7 @@ def key_walk_violation(graph: FoonGraph, tree, items, goal=None):
     seen = set()
     produced = set()
     for pos, uid in enumerate(tree.unit_ids):
-        if not isinstance(uid, int) or uid < 0 or uid >= len(units):
+        if not isinstance(uid, int) or isinstance(uid, bool) or uid < 0 or uid >= len(units):
             return TreeViolation(pos, f"unknown unit id {uid!r}")
         if uid in seen:
             return TreeViolation(pos, f"duplicate unit id {uid}")
@@ -208,6 +208,77 @@ def min_layer_depths(graph: FoonGraph, kitchen: Kitchen) -> dict:
                     depth[key] = worst + 1
                     changed = True
     return depth
+
+
+def layered_reach(graph: FoonGraph, kitchen: Kitchen) -> tuple:
+    """The reachability pass's reference: ``(table, fire)`` built one layer at a time.
+
+    Each layer's newly reached node ids make the next frontier; a unit
+    fires in the layer whose frontier holds its last missing input.
+    """
+    keys = list(graph.node_index)
+    missing = [len(ids) for ids in graph.input_ids]
+    fire = [INF] * len(missing)
+    table = dict.fromkeys(kitchen.items, 0)
+    frontier = [graph.node_index[k] for k in kitchen.items if k in graph.node_index]
+    depth = 0
+    while frontier:
+        depth += 1
+        reached = []
+        for nid in frontier:
+            for uid in graph.consumers[nid]:
+                missing[uid] -= 1
+                if not missing[uid]:
+                    fire[uid] = depth
+                    for out in graph.output_ids[uid]:
+                        if keys[out] not in table:
+                            table[keys[out]] = depth
+                            reached.append(out)
+        frontier = reached
+    return table, fire
+
+
+def joined_solve_calls(graph: FoonGraph, nid, kitchen: Kitchen, last: int) -> int:
+    """The literal-loop count's reference: solve() calls at bounds 0..last.
+
+    Grows the nodes behind nid one step per bound up to last, joining each
+    node's producers' inputs in insertion order with the layer each producer
+    fires in, then sums one budget at a time over the joined prefix that
+    ends at the first producer to fire.
+    """
+    fire, items, nodes = graph.fire_layers(kitchen), kitchen.items, graph.nodes
+    order = [nid]
+    ends = [0, 1]  # ends[j]: how many nodes are fewer than j steps from the goal
+    tried = {nid: ([], [])}
+    while len(ends) <= last + 1:
+        for node in order[ends[-2]:]:
+            if nodes[node].key not in items:
+                joined, fires_ends = tried[node]
+                for uid in graph.producers[node]:
+                    inputs = graph.input_ids[uid]
+                    joined.extend(inputs)
+                    fires_ends.append((fire[uid], len(joined)))
+                    for k in inputs:
+                        if k not in tried:
+                            tried[k] = ([], [])
+                            order.append(k)
+        ends.append(len(order))
+    below = dict.fromkeys(order, 1)
+    total = 1
+    for budget in range(1, last + 1):
+        calls = {}
+        for node in order[: ends[last - budget + 1]]:
+            joined, fires_ends = tried[node]
+            for fires, end in fires_ends:
+                if fires <= budget:
+                    inputs = joined[:end]
+                    break
+            else:
+                inputs = joined
+            calls[node] = 1 + sum(map(below.__getitem__, inputs))
+        below = calls
+        total += calls[nid]
+    return total
 
 
 def _first_fit_order(graph: FoonGraph, unit_ids, kitchen: Kitchen):

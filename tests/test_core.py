@@ -21,6 +21,7 @@ from foon import (
     normalize_label,
     parse_subgraph,
     serialize_graph,
+    serialize_task_tree,
     verify_task_tree,
 )
 
@@ -401,6 +402,20 @@ def test_verify_flags_duplicates_unknown_ids_and_missing_goal():
     assert "never produced" in uncovered.reason
 
 
+def test_a_bool_is_no_unit_id_to_verify_or_serialize(f2, k2):
+    # True == 1, so an int check alone would accept it and write unit 1's block
+    goal = "sweet potato{fried}"
+    assert verify_task_tree(f2, TaskTree((0, 1, 2), goal), k2, goal) is None
+    for unit_ids, position in (((0, True, 2), 1), ((False, 1, 2), 0)):
+        tree = TaskTree(unit_ids, goal)
+        violation = verify_task_tree(f2, tree, k2, goal)
+        assert (violation.position, violation.reason) == (
+            position, f"unknown unit id {unit_ids[position]!r}")
+        for kitchen in (k2, None):
+            with pytest.raises(ValueError, match=f"unknown unit id {unit_ids[position]!r}"):
+                serialize_task_tree(f2, tree, kitchen)
+
+
 def test_a_violation_prints_as_the_one_message_verify_and_serialize_share():
     assert str(foon.TreeViolation(2, "duplicate unit id 0")) == (
         "invalid task tree at unit position 2: duplicate unit id 0")
@@ -433,7 +448,7 @@ def test_unit_check_over_node_ids_matches_the_key_walk():
             kitchen = Kitchen(frozenset(k for k in graph.node_index if rng.random() < 0.4))
         n = len(graph.units)
         # known ids in any order, repeats included, and ids no graph knows
-        pool = [*range(n), *range(n), n, n + 3, -1, "x", 1.5, None]
+        pool = [*range(n), *range(n), n, n + 3, -1, "x", 1.5, None, True, False]
         goals = [None, "absent", *graph.node_index, *kitchen.items]
         for _ in range(20):
             tree = TaskTree(tuple(rng.choice(pool) for _ in range(rng.randint(0, n + 1))), "g")
@@ -531,6 +546,23 @@ def test_fire_layers_match_the_fixpoint_oracle():
         assert fire == want
         fired.update(layer == math.inf for layer in fire)
     assert fired == {True, False}
+
+
+def test_reachability_matches_the_layered_pass_in_order():
+    rng = random.Random(1977)
+    cases = []
+    for _ in range(200):
+        graph, _, kitchen = helpers.random_instance(rng)
+        cases.append((graph, kitchen))
+        graph = helpers.random_textured_graph(rng)
+        keys = [k for k in graph.node_index if rng.random() < 0.4]
+        cases.append((graph, Kitchen(frozenset([*keys, "absent{raw}"]))))
+    for n_units in (100, 400, 1500):
+        cases.append(helpers.random_scale_instance(rng, n_units))
+    for graph, kitchen in cases:
+        table, fire = helpers.layered_reach(graph, kitchen)
+        assert list(graph.min_depths(kitchen).items()) == list(table.items())
+        assert graph.fire_layers(kitchen) == fire
 
 
 def test_add_unit_resets_the_fire_layers_of_a_kitchen():

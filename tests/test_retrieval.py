@@ -694,6 +694,37 @@ def test_literal_count_keeps_memory_linear_in_a_keys_producers():
     assert peak < 10_000_000, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_literal_count_matches_the_joined_tries_reference():
+    rng = random.Random(1985)
+    for _ in range(150):
+        graph, _, kitchen = helpers.random_instance(rng)
+        for nid in range(len(graph.nodes)):
+            for last in (0, 1, 2, 3, 5, 8, 13, 40):
+                assert foon.retrieval._solve_calls(graph, nid, kitchen, last) == (
+                    helpers.joined_solve_calls(graph, nid, kitchen, last))
+    for n_units in (200, 600):
+        graph, stocked = helpers.random_scale_instance(rng, n_units)
+        for kitchen in (stocked, Kitchen()):
+            for nid in rng.sample(range(len(graph.nodes)), 12):
+                for last in (0, 1, 4, 9, 20):
+                    assert foon.retrieval._solve_calls(graph, nid, kitchen, last) == (
+                        helpers.joined_solve_calls(graph, nid, kitchen, last))
+
+
+def test_literal_count_stops_at_the_goals_radius():
+    # bound 0 makes 1 call and every later bound 2; the pass behind the goal
+    # stops one step out, whatever the limit
+    graph = FoonGraph.from_units([simple_unit(["a"], "mix", ["g"])])
+    tracemalloc.start()
+    try:
+        result = retrieve_ids(graph, "g", Kitchen(), depth_limit=20_000, memoize=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.reason, result.expansions) == (DEPTH_LIMIT_EXHAUSTED, 40_001)
+    assert peak < 64 * 1024, f"peak {peak / 1024:.0f} KiB"
+
+
 def greedy_worst_case(n):
     # reversed breadth-first picks put every b_i's producer first, but each
     # a_i needs a_(i-1), so a rescan from the start finds one unit per pass

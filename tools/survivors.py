@@ -11,8 +11,8 @@ are not replaced: no test could pin them.
 At most two test runs go at once, each in its own copy, with a 1 GiB
 address-space limit and a time limit of five times the unmodified suite's
 run (at least a minute), so a replacement that loops or allocates forever
-is stopped and counts as caught. A full scan of 588 statements took 25
-minutes and 48 CPU-minutes on a 2-core x86-64 machine. Two scans of one tree
+is stopped and counts as caught. A full scan of 634 statements took 40
+minutes on a 2-core x86-64 machine, both cores busy. Two scans of one tree
 agree: Hypothesis draws its examples from the fixed seed, and a copy's
 `.hypothesis` example database is deleted when its file is restored, so
 no mutant's saved failing example is tried first against the next one.
